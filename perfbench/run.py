@@ -6,9 +6,10 @@ Run from the root of a source checkout; the package is imported from
 ``src/``.  One process, one operation at a time, BLAS pinned to one thread.
 
 The workload's fixed batch runs again and again until ``--seconds`` would be
-exceeded (at least once).  Each operation is timed by its fastest
-repetition in the run; ``wall_s`` is the batch's time as the sum of those,
-and ``op_p50_s`` and ``op_tail_s`` are taken over them.  ``setup_s`` is the
+exceeded (at least once), moving from core to core.  Each operation is
+timed by its fastest repetition in the run; ``wall_s`` is the batch's time
+as the sum of those, and ``op_p50_s`` and ``op_tail_s`` are taken over
+them.  ``setup_s`` is the
 median of several set-ups, each in a fresh interpreter.  Each operation's
 outputs are checked by the benchmark's own code after the batch.  With ``--trace 0`` the last line of
 stdout is the end-to-end result; with ``--trace 1`` untraced and traced
@@ -30,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import gzip
+import itertools
 import json
 import platform
 import resource
@@ -152,17 +154,24 @@ def run_round(wl, traced: bool, keep_spans: bool) -> Round:
 
 def measure(wl, seconds: float, trace: bool) -> list[Round]:
     """Repeat the batch while another cycle still fits in ``seconds``; with
-    tracing a cycle is one untraced and one traced batch."""
+    tracing a cycle is one untraced and one traced batch.  Cycle k runs
+    pinned to usable core k mod the number of them: the cores of a shared
+    host slow down independently of each other, and a run left on one core
+    can spend all its time on a slowed one."""
     kinds = (False, True) if trace else (False,)
+    cores = sorted(os.sched_getaffinity(0))
     start = perf_counter()
     rounds: list[Round] = []
-    while True:
-        t = perf_counter()
-        first_cycle = not rounds
-        rounds += [run_round(wl, traced, keep_spans=first_cycle) for traced in kinds]
-        now = perf_counter()
-        if now - start + (now - t) > seconds:
-            return rounds
+    try:
+        for cycle in itertools.count():
+            os.sched_setaffinity(0, {cores[cycle % len(cores)]})
+            t = perf_counter()
+            rounds += [run_round(wl, traced, keep_spans=cycle == 0) for traced in kinds]
+            now = perf_counter()
+            if now - start + (now - t) > seconds:
+                return rounds
+    finally:
+        os.sched_setaffinity(0, cores)
 
 
 def layer_values(args, rounds: list[Round]) -> dict[str, float]:
@@ -237,7 +246,9 @@ def main(argv=None) -> int:
     untraced = [r for r in rounds if not r.traced]
     # Every batch repeats the same operations on the same inputs, so each
     # operation is timed by its fastest repetition: other tenants of a shared
-    # machine slow the CPU for seconds to minutes, and only add time.
+    # machine slow a core by up to 1.7x for seconds to minutes, and only add
+    # time.  Batches alternate between cores (see measure), and operations
+    # are short, so each one gets repetitions on a core running at speed.
     durations = [min(times) for times in zip(*(r.durations for r in untraced))]
     tail_pct, tail_value = tr.tail_percentile(durations)
     rss_kb = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
