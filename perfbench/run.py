@@ -9,13 +9,13 @@ The workload's fixed batch runs again and again until ``--seconds`` would be
 exceeded (at least once), moving from core to core.  Each operation is
 timed by its fastest repetition in the run; ``wall_s`` is the batch's time
 as the sum of those, and ``op_p50_s`` and ``op_tail_s`` are taken over
-them.  ``setup_s`` is the
-median of several set-ups, each in a fresh interpreter.  Each operation's
-outputs are checked by the benchmark's own code after the batch.  With ``--trace 0`` the last line of
-stdout is the end-to-end result; with ``--trace 1`` untraced and traced
-batches alternate and the last line carries the per-layer metrics.  The line
-before it is a JSON report with the environment, the verdicts seen,
-``fail_frac`` and ``undecided_frac``.
+them.  ``setup_s`` is the median of several set-ups, each in a fresh
+interpreter.  Each operation's outputs are checked by the benchmark's own
+code after the batch.  With ``--trace 0`` the last line of stdout is the
+end-to-end result; with ``--trace 1`` untraced and traced batches alternate
+and the last line carries the per-layer metrics.  The line before it is a
+JSON report with the environment, the verdicts seen, ``fail_frac`` and
+``undecided_frac``.
 
 The run exits with code 2, printing no result, when ``src/framecert`` is
 missing.
