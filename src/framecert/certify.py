@@ -31,6 +31,7 @@ deterministic given it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,8 @@ from .core import (
     RANK_RTOL,
     ComplexFrame,
     RealifiedFrame,
+    gradient_rows,
+    r_matrices,
     r_matrix,
     rank_by_svd,
     realify,
@@ -62,6 +65,7 @@ __all__ = [
     "estimate_a0",
     "rank_kernel_check",
     "magnitude_separation_check",
+    "separation_sides",
     "certify_complex",
     "certify_real",
     "complement_property",
@@ -202,7 +206,7 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _block_min_eig(Phi: np.ndarray, J: np.ndarray, X: np.ndarray):
+def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
     """One block update of the alternating descent.
 
     For each row xi of X, form R = r_matrix at xi, deflate the phase
@@ -212,14 +216,27 @@ def _block_min_eig(Phi: np.ndarray, J: np.ndarray, X: np.ndarray):
     the second-smallest eigenvalue of R because J xi is always in the
     kernel.
     """
-    prods = np.einsum("kij,sj->ski", Phi, X)
-    R = np.einsum("ski,skl->sil", prods, prods)
-    U = _unit_rows(X @ J.T)
+    R = r_matrices(rf, X)
+    U = _unit_rows(X @ rf.J.T)
     # trace + 1 strictly dominates the largest eigenvalue of a PSD matrix
-    c = np.einsum("sii->s", R) + 1.0
+    c = np.trace(R, axis1=1, axis2=2) + 1.0
     R_def = R + c[:, None, None] * U[:, :, None] * U[:, None, :]
     vals, vecs = np.linalg.eigh(R_def)
     return vecs[:, :, 0], vals[:, 0]
+
+
+@lru_cache(maxsize=4096)
+def _start_direction(seed: int, two_n: int) -> np.ndarray:
+    """Unit start direction drawn from a generator seeded with ``seed``;
+    cached (read-only) because neighbouring calls share most of their
+    seeds."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(two_n)
+    while np.linalg.norm(v) == 0.0:
+        v = rng.standard_normal(two_n)
+    v = v / np.linalg.norm(v)
+    v.setflags(write=False)
+    return v
 
 
 def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
@@ -235,7 +252,10 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
     decrease per iteration falls below tol, its value reaches the floor of
     double precision, or max_iter is hit.  Start i draws its initial
     direction from a generator seeded with seed + i, so serial and parallel
-    schedules agree and reruns are bit identical.
+    schedules agree and reruns are bit identical.  The start directions are
+    kept in a bounded cache keyed by (seed + i, 2n): calls whose seeds
+    overlap, such as the trials of ``stability_experiment``, draw each one
+    once, and a cached start equals a freshly drawn one bit for bit.
 
     The result is an upper bound on the true margin (a minimizer may have
     been missed), so a tiny value suggests, but never proves, that the
@@ -248,31 +268,22 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    Phi, J = rf.Phi, rf.J
     two_n = rf.two_n
-    X = np.empty((starts, two_n))
-    for i in range(starts):
-        rng = np.random.default_rng(seed + i)
-        v = rng.standard_normal(two_n)
-        while np.linalg.norm(v) == 0.0:
-            v = rng.standard_normal(two_n)
-        X[i] = v / np.linalg.norm(v)
+    X = np.stack([_start_direction(seed + i, two_n) for i in range(starts)])
     vals = np.full(starts, np.inf)
     active = np.arange(starts)
     for _ in range(max_iter):
         if active.size == 0:
             break
         Xa = X[active]
-        Xa, _ = _block_min_eig(Phi, J, Xa)
-        Xa, v = _block_min_eig(Phi, J, Xa)
+        Xa, _ = _block_min_eig(rf, Xa)
+        Xa, v = _block_min_eig(rf, Xa)
         X[active] = Xa
         decrease = vals[active] - v
         vals[active] = v
         active = active[(decrease > tol) & (v > 1e-18)]
     # report the definitional quantity at each final direction
-    prods = np.einsum("kij,sj->ski", Phi, X)
-    R_all = np.einsum("ski,skl->sil", prods, prods)
-    finals = np.linalg.eigvalsh(R_all)[:, 1]
+    finals = np.linalg.eigvalsh(r_matrices(rf, X))[:, 1]
     best = int(np.argmin(finals))
     a0 = float(max(finals[best], 0.0))
     witness = X[best] / np.linalg.norm(X[best])
@@ -314,6 +325,35 @@ def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray,
     )
 
 
+def separation_sides(fr: ComplexFrame, X: np.ndarray,
+                     Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the magnitude separation inequality at the pairs
+    (X[p], Y[p]), for stacks X, Y of shape (pairs, n): the left side
+
+        sum_k ( |<x, f_k>|^2 - |<y, f_k>|^2 )^2
+
+    and the right factor ||x - y||^2 ||x + y||^2 - 4 Im(<x, y>)^2, each of
+    shape (pairs,).  Their ratio bounds the margin from above wherever the
+    factor is positive.
+    """
+    X = np.asarray(X, dtype=np.complex128)
+    Y = np.asarray(Y, dtype=np.complex128)
+    Vh = fr.vectors.conj().T
+    mx = np.abs(X @ Vh) ** 2
+    my = np.abs(Y @ Vh) ** 2
+    left = np.sum((mx - my) ** 2, axis=-1)
+    inner = np.sum(X * Y.conj(), axis=-1)
+    factor = (np.linalg.norm(X - Y, axis=-1) ** 2 * np.linalg.norm(X + Y, axis=-1) ** 2
+              - 4.0 * inner.imag ** 2)
+    return left, factor
+
+
+def _separation_holds(left, factor, a0: float):
+    """The separation inequality at margin a0, with additive slack
+    1e-9 * (1 + |right factor|)."""
+    return left >= a0 * factor - 1e-9 * (1.0 + np.abs(factor))
+
+
 def magnitude_separation_check(fr: ComplexFrame, a0: float, x: np.ndarray,
                                y: np.ndarray) -> bool:
     """Check the magnitude separation inequality at a pair (x, y):
@@ -326,25 +366,27 @@ def magnitude_separation_check(fr: ComplexFrame, a0: float, x: np.ndarray,
     nonnegative up to rounding and vanishes exactly when y is a unimodular
     multiple of x.  A phase retrievable frame satisfies the inequality for
     every pair with its true margin; a violation at the estimated margin
-    means the estimate is too optimistic.
+    means the estimate is too optimistic.  This is ``separation_sides`` at
+    a single pair.
     """
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    V = fr.vectors
-    mx = np.abs(V.conj() @ x) ** 2
-    my = np.abs(V.conj() @ y) ** 2
-    left = float(np.sum((mx - my) ** 2))
-    u = x - y
-    v = x + y
-    inner = complex(np.sum(x * y.conj()))
-    factor = float(
-        np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2 - 4.0 * inner.imag ** 2
-    )
-    return left >= a0 * factor - 1e-9 * (1.0 + abs(factor))
+    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
+    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
+    left, factor = separation_sides(fr, x, y)
+    return bool(_separation_holds(left[0], factor[0], a0))
 
 
 def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+
+def _random_pairs(rng: np.random.Generator, pairs: int,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` pairs of standard complex Gaussian vectors in C^n, drawn
+    from the same stream as ``pairs`` alternating ``_random_complex`` calls
+    for x and y (real parts before imaginary parts)."""
+    G = rng.standard_normal((pairs, 2, 2, n))
+    Z = (G[:, :, 0] + 1j * G[:, :, 1]) / np.sqrt(2.0)
+    return Z[:, 0], Z[:, 1]
 
 
 def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
@@ -360,12 +402,14 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Estimate the margin.  Above TAU_PR the verdict is Retrievable after
-       the separation inequality survives ``cross_pairs`` random pairs; a
-       violation downgrades the margin to the worst empirical ratio and the
-       verdict is re-decided.  Below TAU_NPR the verdict is NotRetrievable
-       only when rank_kernel_check verifies a kernel of dimension >= 2 at
-       the witness; a tiny margin alone is never enough.  Everything else
-       is Inconclusive.
+       the separation inequality survives ``cross_pairs`` random pairs,
+       drawn from a generator seeded with ``seed`` and checked in one
+       batch by ``separation_sides``; a violation downgrades the margin to
+       the worst ratio of the two sides over the pairs whose right factor
+       exceeds 1e-12, and the verdict is re-decided.  Below TAU_NPR the
+       verdict is NotRetrievable only when rank_kernel_check verifies a
+       kernel of dimension >= 2 at the witness; a tiny margin alone is
+       never enough.  Everything else is Inconclusive.
     """
     if fr.n >= 2 and fr.m < 2 * fr.n:
         return CertificationReport(
@@ -385,24 +429,11 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
     kernel_excess = witness if kernel_info.kernel_dim >= 2 else None
 
     if a0 > TAU_PR:
-        rng = np.random.default_rng(seed)
-        worst_ratio = np.inf
-        violated = False
-        for _ in range(cross_pairs):
-            x = _random_complex(rng, fr.n)
-            y = _random_complex(rng, fr.n)
-            if not magnitude_separation_check(fr, a0, x, y):
-                violated = True
-            u, v = x - y, x + y
-            inner = complex(np.sum(x * y.conj()))
-            factor = float(
-                np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2
-                - 4.0 * inner.imag ** 2
-            )
-            if factor > 1e-12:
-                mags = (np.abs(fr.vectors.conj() @ x) ** 2
-                        - np.abs(fr.vectors.conj() @ y) ** 2)
-                worst_ratio = min(worst_ratio, float(np.sum(mags ** 2)) / factor)
+        X, Y = _random_pairs(np.random.default_rng(seed), cross_pairs, fr.n)
+        left, factor = separation_sides(fr, X, Y)
+        violated = not np.all(_separation_holds(left, factor, a0))
+        usable = factor > 1e-12
+        worst_ratio = float(np.min(left[usable] / factor[usable], initial=np.inf))
         if violated and worst_ratio < a0:
             a0 = worst_ratio
         verdict = VERDICT_RETRIEVABLE if a0 > TAU_PR else VERDICT_INCONCLUSIVE
@@ -535,22 +566,18 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 1000,
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     rf = RealifiedFrame.from_frame(fr)
-    Phi = rf.Phi
     n = fr.n
     for _ in range(trials):
         x = _random_complex(rng, n)
         targets = np.abs(fr.vectors.conj() @ x) ** 2
 
         def objective(eta: np.ndarray) -> float:
-            prods = Phi @ eta
-            quad = np.einsum("ki,i->k", prods, eta)
-            diff = quad - targets
+            diff = gradient_rows(rf, eta) @ eta - targets
             return float(diff @ diff)
 
         def gradient(eta: np.ndarray) -> np.ndarray:
-            prods = Phi @ eta
-            quad = np.einsum("ki,i->k", prods, eta)
-            return 4.0 * ((quad - targets) @ prods)
+            prods = gradient_rows(rf, eta)
+            return 4.0 * ((prods @ eta - targets) @ prods)
 
         eta0 = rng.standard_normal(2 * n)
         res = minimize(objective, eta0, jac=gradient, method="L-BFGS-B",

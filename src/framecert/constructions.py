@@ -173,17 +173,14 @@ class FramePath:
 
     ``index_set`` holds the n anchor positions whose start vectors stay
     fixed during the first segment; ``complement`` holds the rest, whose
-    end vectors stay fixed during the second.  ``gamma`` and ``delta``
-    record the matching of start and end families by position (identity
-    here, kept explicit so reports stay self describing).
+    end vectors stay fixed during the second.  Start and end vectors are
+    matched by position.
     """
 
     start: ComplexFrame
     end: ComplexFrame
     index_set: tuple[int, ...]
     complement: tuple[int, ...]
-    gamma: tuple[int, ...]
-    delta: tuple[int, ...]
 
 
 def connect_frames(start: ComplexFrame, end: ComplexFrame) -> FramePath:
@@ -228,8 +225,6 @@ def connect_frames(start: ComplexFrame, end: ComplexFrame) -> FramePath:
             end=end,
             index_set=combo,
             complement=tuple(rest),
-            gamma=tuple(range(m)),
-            delta=tuple(range(m)),
         )
     raise SelectionFailed(
         "no n-subset has independent start vectors and a spanning end complement"

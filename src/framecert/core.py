@@ -38,6 +38,8 @@ __all__ = [
     "unrealify",
     "rank_by_svd",
     "build_phi",
+    "gradient_rows",
+    "r_matrices",
     "r_matrix",
     "l_matrix",
     "sym_outer",
@@ -166,26 +168,28 @@ class ComplexFrame:
 @dataclass(frozen=True)
 class RealifiedFrame:
     """Realified data for a frame: the lifted vectors phi_k = realify(f_k),
-    the stack of lifted measurement forms Phi_k = build_phi(f_k), and the
+    their images Jphi_k = J phi_k = realify(i f_k), and the
     multiplication-by-i matrix J.
 
-    phi has shape (m, 2n), Phi has shape (m, 2n, 2n), J has shape (2n, 2n).
+    phi and Jphi have shape (m, 2n), J has shape (2n, 2n).  The lifted
+    measurement forms Phi_k = build_phi(f_k) are never stored: they act as
+    Phi_k xi = (phi_k . xi) phi_k + (Jphi_k . xi) Jphi_k, which is how
+    ``gradient_rows`` applies them, so the data take O(m n) memory.
     """
 
     phi: np.ndarray
-    Phi: np.ndarray
+    Jphi: np.ndarray
     J: np.ndarray
 
     @classmethod
     def from_frame(cls, fr: ComplexFrame) -> "RealifiedFrame":
         J = j_matrix(fr.n)
-        phi = np.stack([realify(f) for f in fr.vectors])
-        Jphi = phi @ J.T
-        Phi = (np.einsum("ki,kj->kij", phi, phi)
-               + np.einsum("ki,kj->kij", Jphi, Jphi))
-        for arr in (phi, Phi, J):
+        V = fr.vectors
+        phi = np.concatenate([V.real, V.imag], axis=1)
+        Jphi = np.concatenate([-V.imag, V.real], axis=1)
+        for arr in (phi, Jphi, J):
             arr.setflags(write=False)
-        return cls(phi=phi, Phi=Phi, J=J)
+        return cls(phi=phi, Jphi=Jphi, J=J)
 
     @property
     def two_n(self) -> int:
@@ -209,6 +213,27 @@ def build_phi(f: np.ndarray) -> np.ndarray:
     return np.outer(phi, phi) + np.outer(Jphi, Jphi)
 
 
+def gradient_rows(rf: RealifiedFrame, X: np.ndarray) -> np.ndarray:
+    """The vectors Phi_k xi for every row xi of X, shape (..., m, 2n).
+
+    Phi_k xi = a_k phi_k + b_k Jphi_k with a_k = phi_k . xi and
+    b_k = Jphi_k . xi, which is realify(<x, f_k> f_k) for xi = realify(x).
+    X may be one direction of shape (2n,) or any stack (..., 2n).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    a = X @ rf.phi.T
+    b = X @ rf.Jphi.T
+    return a[..., :, None] * rf.phi + b[..., :, None] * rf.Jphi
+
+
+def r_matrices(rf: RealifiedFrame, X: np.ndarray) -> np.ndarray:
+    """``r_matrix`` at every row xi of X in one batched product: the Gram
+    matrices B^T B of the rows B = gradient_rows(rf, xi), shape
+    (..., 2n, 2n)."""
+    B = gradient_rows(rf, X)
+    return np.swapaxes(B, -1, -2) @ B
+
+
 def r_matrix(rf: RealifiedFrame, xi: np.ndarray) -> np.ndarray:
     """Gram matrix of the vectors Phi_k xi, a (2n, 2n) symmetric PSD matrix.
 
@@ -221,8 +246,7 @@ def r_matrix(rf: RealifiedFrame, xi: np.ndarray) -> np.ndarray:
     Quadratic in xi: r_matrix(rf, c * xi) == c**2 * r_matrix(rf, xi).
     """
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
-    prods = rf.Phi @ xi
-    return prods.T @ prods
+    return r_matrices(rf, xi)
 
 
 def l_matrix(rf: RealifiedFrame, xi: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from framecert import certify as certify_module
 from framecert import (
     TAU_NPR,
     TAU_PR,
@@ -167,6 +168,40 @@ def test_magnitude_separation_with_estimated_margin():
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert magnitude_separation_check(fr, rep.a0, x, y)
+
+
+def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
+    # an estimate ten times the true margin must be caught by the random
+    # pairs and replaced by their worst ratio, drawn pair by pair as
+    # x = (g_re + i g_im) / sqrt(2), then y the same way
+    fr = bh(2)
+    true_a0 = certify_complex(fr, starts=16).a0
+    real_estimate = certify_module.estimate_a0
+
+    def optimistic(*args, **kwargs):
+        a0, witness = real_estimate(*args, **kwargs)
+        return 10.0 * a0, witness
+
+    monkeypatch.setattr(certify_module, "estimate_a0", optimistic)
+    seed = 5
+    rep = certify_complex(fr, starts=16, seed=seed)
+
+    rng = np.random.default_rng(seed)
+    V = fr.vectors
+    ratios = []
+    for _ in range(certify_module.CROSS_CHECK_PAIRS):
+        x = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2.0)
+        y = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2.0)
+        left = np.sum((np.abs(V.conj() @ x) ** 2 - np.abs(V.conj() @ y) ** 2) ** 2)
+        inner = np.sum(x * y.conj())
+        factor = (np.linalg.norm(x - y) ** 2 * np.linalg.norm(x + y) ** 2
+                  - 4.0 * inner.imag ** 2)
+        if factor > 1e-12:
+            ratios.append(left / factor)
+    worst = min(ratios)
+    assert true_a0 <= worst < 10.0 * true_a0
+    assert rep.a0 == pytest.approx(worst, rel=1e-12)
+    assert rep.verdict == (VERDICT_RETRIEVABLE if worst > TAU_PR else VERDICT_INCONCLUSIVE)
 
 
 def test_certify_cardinality_precheck():

@@ -139,8 +139,6 @@ def test_connect_frames_picks_first_admissible_subset():
     path = connect_frames(f1, f2)
     assert path.index_set == (0, 1)
     assert path.complement == (2, 3)
-    assert path.gamma == tuple(range(4))
-    assert path.delta == tuple(range(4))
 
 
 def test_path_eval_recovers_endpoints_exactly():

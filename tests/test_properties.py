@@ -1,0 +1,112 @@
+"""Property tests for the batched realified kernel, the batched separation
+check and the cached start directions of the margin descent."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framecert import (
+    ComplexFrame,
+    RealifiedFrame,
+    build_phi,
+    estimate_a0,
+    magnitude_separation_check,
+    r_matrices,
+    r_matrix,
+    separation_sides,
+)
+from framecert import certify as certify_module
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def complex_gaussian(rng, rows, n):
+    return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+@st.composite
+def frame_and_batch(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=4 * n))
+    batch = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(SEEDS))
+    fr = ComplexFrame.from_vectors(complex_gaussian(rng, m, n))
+    return fr, rng.standard_normal((batch, 2 * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_and_batch())
+def test_batched_r_matches_the_sum_over_lifted_forms(case):
+    fr, X = case
+    rf = RealifiedFrame.from_frame(fr)
+    forms = [build_phi(f) for f in fr.vectors]
+    R = r_matrices(rf, X)
+    assert R.shape == (X.shape[0], rf.two_n, rf.two_n)
+    for xi, R_xi in zip(X, R):
+        ref = sum(np.outer(P @ xi, P @ xi) for P in forms)
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(R_xi - ref) <= 1e-10 * scale
+        assert np.linalg.norm(r_matrix(rf, xi) - ref) <= 1e-10 * scale
+
+
+@st.composite
+def frame_and_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4 * n))
+    pairs = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(SEEDS))
+    fr = ComplexFrame.from_vectors(complex_gaussian(rng, m, n))
+    X = complex_gaussian(rng, pairs, n)
+    Y = complex_gaussian(rng, pairs, n)
+    # every other pair is phase equivalent: y = e^{i theta} x
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=pairs))
+    Y[::2] = phases[::2, None] * X[::2]
+    a0 = draw(st.floats(min_value=0.0, max_value=4.0))
+    return fr, X, Y, a0
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_and_pairs())
+def test_batched_separation_decides_like_the_one_pair_check(case):
+    fr, X, Y, a0 = case
+    left, factor = separation_sides(fr, X, Y)
+    batched = left >= a0 * factor - 1e-9 * (1.0 + np.abs(factor))
+    for p, (x, y) in enumerate(zip(X, Y)):
+        assert bool(batched[p]) == magnitude_separation_check(fr, a0, x, y)
+    # the phase-equivalent pairs have both sides zero up to rounding
+    assert np.all(batched[::2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6),
+       pairs=st.integers(min_value=0, max_value=20), seed=SEEDS)
+def test_cross_check_pairs_follow_the_per_pair_stream(n, pairs, seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for _ in range(pairs):
+        xs.append(certify_module._random_complex(rng, n))
+        ys.append(certify_module._random_complex(rng, n))
+    X, Y = certify_module._random_pairs(np.random.default_rng(seed), pairs, n)
+    np.testing.assert_array_equal(X, np.array(xs).reshape(pairs, n))
+    np.testing.assert_array_equal(Y, np.array(ys).reshape(pairs, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3), starts=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**31), frame_seed=SEEDS)
+def test_estimate_a0_is_the_same_on_cold_and_warm_start_cache(n, starts, seed, frame_seed):
+    rng = np.random.default_rng(frame_seed)
+    rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(complex_gaussian(rng, 4 * n, n)))
+    certify_module._start_direction.cache_clear()
+    cold = estimate_a0(rf, starts=starts, max_iter=50, seed=seed)
+    warm = estimate_a0(rf, starts=starts, max_iter=50, seed=seed)
+    assert cold[0] == warm[0]
+    np.testing.assert_array_equal(cold[1], warm[1])
+    # start i is the unit direction drawn from default_rng(seed + i)
+    for i in range(starts):
+        v = np.random.default_rng(seed + i).standard_normal(2 * n)
+        cached = certify_module._start_direction(seed + i, 2 * n)
+        np.testing.assert_array_equal(cached, v / np.linalg.norm(v))
+        assert not cached.flags.writeable
