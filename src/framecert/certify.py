@@ -47,7 +47,7 @@ from .core import (
     realify,
     unrealify,
 )
-from .errors import AsymmetricInput, NotRealFrame, TooLarge, ZeroXi
+from .errors import FramecertError
 
 __all__ = [
     "TAU_PR",
@@ -115,9 +115,6 @@ class CertificationReport:
     witness_xi: Optional[np.ndarray]
     kernel_excess: Optional[np.ndarray]
     method: str
-    starts: int
-    tol: float
-    seed: int
     failing_partition: Optional[tuple[int, ...]] = None
 
     def to_dict(self) -> dict:
@@ -126,9 +123,6 @@ class CertificationReport:
             "a0": self.a0,
             "witness_xi": None if self.witness_xi is None else [float(v) for v in self.witness_xi],
             "method": self.method,
-            "starts": self.starts,
-            "tol": self.tol,
-            "seed": self.seed,
             "kernel_excess": None if self.kernel_excess is None else [float(v) for v in self.kernel_excess],
         }
         if self.method == "complement":
@@ -184,11 +178,11 @@ class CardinalityBounds:
         }
 
 
-def eigenvalue_2n_minus_1(M: np.ndarray, asym_rtol: float = 1e-10) -> float:
+def eigenvalue_2n_minus_1(M: np.ndarray) -> float:
     """Second-smallest eigenvalue of a symmetric 2n x 2n matrix, i.e. the
     (2n-1)-th largest of its 2n eigenvalues.
 
-    Raises AsymmetricInput when ||M - M^T|| > asym_rtol * ||M||.
+    Raises FramecertError when ||M - M^T|| > 1e-10 * ||M||.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -196,8 +190,8 @@ def eigenvalue_2n_minus_1(M: np.ndarray, asym_rtol: float = 1e-10) -> float:
     if M.shape[0] % 2 != 0 or M.shape[0] < 2:
         raise ValueError(f"M must be 2n x 2n with n >= 1, got shape {M.shape}")
     scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.T) > asym_rtol * scale:
-        raise AsymmetricInput("matrix is not symmetric within tolerance")
+    if np.linalg.norm(M - M.T) > 1e-10 * scale:
+        raise FramecertError("matrix is not symmetric within tolerance")
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     return float(w[1])
 
@@ -266,8 +260,8 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
         raise ValueError(f"starts must be >= 1, got {starts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     two_n = rf.two_n
     X = np.stack([_start_direction(seed + i, two_n) for i in range(starts)])
     vals = np.full(starts, np.inf)
@@ -290,24 +284,22 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
     return a0, witness
 
 
-def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray,
-                      rank_rtol: float = RANK_RTOL,
-                      angle_tol: float = KERNEL_ANGLE_TOL) -> RankKernelResult:
+def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
     """Numerical rank and kernel of r_matrix at the direction xi.
 
-    An eigenvalue counts as zero when it is <= rank_rtol times the largest.
+    An eigenvalue counts as zero when it is <= RANK_RTOL times the largest.
     ``kernel_is_span_jxi`` is True exactly when the kernel is one
-    dimensional and within angle_tol radians of the phase line span{J xi}.
-    A kernel of dimension >= 2 is the rank-deficiency witness used to back
-    a NotRetrievable verdict.
+    dimensional and within KERNEL_ANGLE_TOL radians of the phase line
+    span{J xi}.  A kernel of dimension >= 2 is the rank-deficiency witness
+    used to back a NotRetrievable verdict.
     """
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
     if np.linalg.norm(xi) == 0.0:
-        raise ZeroXi("direction xi must be nonzero")
+        raise FramecertError("direction xi must be nonzero")
     R = r_matrix(rf, xi)
     w, V = np.linalg.eigh(R)
     lam_max = max(float(w[-1]), 0.0)
-    thresh = rank_rtol * lam_max
+    thresh = RANK_RTOL * lam_max
     zero = w <= thresh
     rank = int(np.count_nonzero(~zero))
     kernel = V[:, zero]
@@ -316,7 +308,7 @@ def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray,
     if kernel.shape[1] == 1:
         jxi = rf.J @ xi
         cosang = abs(float(kernel[:, 0] @ jxi)) / np.linalg.norm(jxi)
-        is_phase_line = float(np.arccos(min(cosang, 1.0))) <= angle_tol
+        is_phase_line = float(np.arccos(min(cosang, 1.0))) <= KERNEL_ANGLE_TOL
     return RankKernelResult(
         rank=rank,
         kernel_dim=kernel.shape[1],
@@ -389,9 +381,8 @@ def _random_pairs(rng: np.random.Generator, pairs: int,
     return Z[:, 0], Z[:, 1]
 
 
-def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
-                    tol: float = 1e-10, seed: int = 42,
-                    cross_pairs: int = CROSS_CHECK_PAIRS) -> CertificationReport:
+def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
+                    seed: int = 42) -> CertificationReport:
     """Full certification pipeline for a frame treated over C.
 
     Order of checks:
@@ -401,8 +392,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
        nonzero vector already determines |x|, so the gate does not apply.)
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
-    3. Estimate the margin.  Above TAU_PR the verdict is Retrievable after
-       the separation inequality survives ``cross_pairs`` random pairs,
+    3. Estimate the margin with ``estimate_a0`` at its default iteration
+       cap.  Above TAU_PR the verdict is Retrievable after the separation
+       inequality survives CROSS_CHECK_PAIRS random pairs,
        drawn from a generator seeded with ``seed`` and checked in one
        batch by ``separation_sides``; a violation downgrades the margin to
        the worst ratio of the two sides over the pairs whose right factor
@@ -414,22 +406,20 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
     if fr.n >= 2 and fr.m < 2 * fr.n:
         return CertificationReport(
             verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
-            kernel_excess=None, method="cardinality", starts=starts,
-            tol=tol, seed=seed,
+            kernel_excess=None, method="cardinality",
         )
     if not fr.is_frame:
         return CertificationReport(
             verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
-            kernel_excess=None, method="not-a-frame", starts=starts,
-            tol=tol, seed=seed,
+            kernel_excess=None, method="not-a-frame",
         )
     rf = RealifiedFrame.from_frame(fr)
-    a0, witness = estimate_a0(rf, starts=starts, max_iter=max_iter, tol=tol, seed=seed)
+    a0, witness = estimate_a0(rf, starts=starts, tol=tol, seed=seed)
     kernel_info = rank_kernel_check(rf, witness)
     kernel_excess = witness if kernel_info.kernel_dim >= 2 else None
 
     if a0 > TAU_PR:
-        X, Y = _random_pairs(np.random.default_rng(seed), cross_pairs, fr.n)
+        X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, fr.n)
         left, factor = separation_sides(fr, X, Y)
         violated = not np.all(_separation_holds(left, factor, a0))
         usable = factor > 1e-12
@@ -444,23 +434,21 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, max_iter: int = 2000,
 
     return CertificationReport(
         verdict=verdict, a0=a0, witness_xi=witness, kernel_excess=kernel_excess,
-        method="eigen", starts=starts, tol=tol, seed=seed,
+        method="eigen",
     )
 
 
-def certify_real(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
-                 seed: int = 42) -> CertificationReport:
+def certify_real(fr: ComplexFrame) -> CertificationReport:
     """Certification of a real frame through the complement property.
 
     The check is exact and combinatorial, so the report carries no margin
-    and no spectral witness; starts, tol and seed are recorded solely to
-    keep report provenance uniform.
+    and no spectral witness.
     """
     result = complement_property(fr)
     verdict = VERDICT_RETRIEVABLE if result.holds else VERDICT_NOT_RETRIEVABLE
     return CertificationReport(
         verdict=verdict, a0=None, witness_xi=None, kernel_excess=None,
-        method="complement", starts=starts, tol=tol, seed=seed,
+        method="complement",
         failing_partition=result.failing_partition,
     )
 
@@ -475,13 +463,13 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
     puts vector i+1 on side one), ascending, and the scan short-circuits at
     the first failure.
 
-    Raises NotRealFrame when any entry has a nonzero imaginary part and
-    TooLarge when m exceeds COMPLEMENT_MAX_M.
+    Raises FramecertError when any entry has a nonzero imaginary part or
+    when m exceeds COMPLEMENT_MAX_M.
     """
     if np.any(fr.vectors.imag != 0.0):
-        raise NotRealFrame("complement property is defined for real frames only")
+        raise FramecertError("complement property is defined for real frames only")
     if fr.m > COMPLEMENT_MAX_M:
-        raise TooLarge(
+        raise FramecertError(
             f"exhaustive bipartition check caps at m={COMPLEMENT_MAX_M}, got m={fr.m}"
         )
     V = fr.vectors.real

@@ -53,7 +53,6 @@ DEFAULT_STARTS = 64
 DEFAULT_TOL = 1e-10
 DEFAULT_TRIALS = 100
 DEFAULT_RADIUS_FRACTION = 0.99
-DEFAULT_MAX_ITER = 2000
 SEED_ENV_VAR = "FRAME_CERTIFY_SEED"
 
 EXIT_USAGE = 64
@@ -66,7 +65,8 @@ VERDICT_EXIT = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters, embedded verbatim in every report."""
+    """Resolved run parameters, embedded verbatim as the ``config`` envelope
+    of every JSON report, so a run can be replayed from its output."""
 
     seed: int = DEFAULT_SEED
     starts: int = DEFAULT_STARTS
@@ -79,13 +79,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.radius_fraction <= 0.0:
+        if not (np.isfinite(self.radius_fraction) and self.radius_fraction > 0.0):
             raise ValueError(
-                f"radius_fraction must be positive, got {self.radius_fraction}"
+                f"radius_fraction must be positive and finite, got {self.radius_fraction}"
             )
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"output_format must be json or csv, got {self.output_format!r}")
@@ -206,18 +206,16 @@ def _cmd_certify(args: argparse.Namespace, config: RunConfig) -> int:
     if method == "auto":
         method = "complement" if fr.field == "real" else "eigen"
     if method == "complement":
-        report = certify_real(fr, starts=config.starts, tol=config.tol, seed=config.seed)
+        report = certify_real(fr)
     else:
-        report = certify_complex(fr, starts=config.starts, max_iter=DEFAULT_MAX_ITER,
-                                 tol=config.tol, seed=config.seed)
+        report = certify_complex(fr, starts=config.starts, tol=config.tol, seed=config.seed)
     _emit(_wrap(config, report.to_dict()), args.output)
     return VERDICT_EXIT[report.verdict]
 
 
 def _cmd_rho(args: argparse.Namespace, config: RunConfig) -> int:
     fr = load_frame(args.frame)
-    report = certify_complex(fr, starts=config.starts, max_iter=DEFAULT_MAX_ITER,
-                             tol=config.tol, seed=config.seed)
+    report = certify_complex(fr, starts=config.starts, tol=config.tol, seed=config.seed)
     if report.verdict != VERDICT_RETRIEVABLE:
         _emit(_wrap(config, {"certification": report.to_dict(), "stability_radius": None}),
               args.output)
@@ -250,7 +248,6 @@ def _cmd_experiment(args: argparse.Namespace, config: RunConfig) -> int:
         report = stability_experiment(
             fr, trials=config.trials, radius_fraction=config.radius_fraction,
             seed=config.seed, starts=config.starts, tol=config.tol,
-            max_iter=DEFAULT_MAX_ITER,
         )
         if config.output_format == "csv":
             _emit(report.to_csv(), args.output)

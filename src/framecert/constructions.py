@@ -18,10 +18,7 @@ import numpy as np
 from .core import ComplexFrame, rank_by_svd
 from .errors import (
     BadCardinality,
-    BadDimension,
-    CardinalityTooSmall,
-    DegenerateAfterRetries,
-    DeniedAngle,
+    FramecertError,
     NotAFrame,
     SelectionFailed,
     ShapeMismatch,
@@ -66,7 +63,7 @@ class BodmannHammenParams:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise BadDimension(f"construction needs n >= 2, got n={self.n}")
+            raise FramecertError(f"construction needs n >= 2, got n={self.n}")
         if not 0.0 < self.a <= np.pi / 2.0:
             raise ValueError(f"angle a must lie in (0, pi/2], got {self.a}")
         if self.angle_variant not in ("two_pi", "verbatim"):
@@ -96,13 +93,13 @@ def bodmann_hammen(params: BodmannHammenParams, strict: bool = False) -> Complex
 
     with theta_k set by the angle variant.  When a falls within
     ANGLE_DENY_TOL of a denied angle the function warns, or raises
-    DeniedAngle when strict.
+    FramecertError when strict.
     """
     n = params.n
     if any(abs(params.a - bad) <= ANGLE_DENY_TOL for bad in denied_angles(n)):
         msg = f"angle a={params.a} is a denied rational multiple of pi for n={n}"
         if strict:
-            raise DeniedAngle(msg)
+            raise FramecertError(msg)
         warnings.warn(msg, stacklevel=2)
     N = 2 * n - 1
     j = np.arange(n)
@@ -151,7 +148,7 @@ def trivial_non_retrievable(n: int, m: int) -> ComplexFrame:
 def random_frame(n: int, m: int, seed: int = 42) -> ComplexFrame:
     """Frame of m standard complex Gaussian vectors in C^n, entries
     (g + i g') / sqrt(2).  Redraws a non-spanning family up to
-    RANDOM_FRAME_RETRIES times before raising DegenerateAfterRetries
+    RANDOM_FRAME_RETRIES times before raising FramecertError
     (m < n exhausts the retries immediately, since no family can span).
     """
     if n < 1 or m < 1:
@@ -162,7 +159,7 @@ def random_frame(n: int, m: int, seed: int = 42) -> ComplexFrame:
                    + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
         if rank_by_svd(vectors) == n:
             return ComplexFrame.from_vectors(vectors, field="complex")
-    raise DegenerateAfterRetries(
+    raise FramecertError(
         f"no spanning family after {RANDOM_FRAME_RETRIES} draws (n={n}, m={m})"
     )
 
@@ -203,7 +200,7 @@ def connect_frames(start: ComplexFrame, end: ComplexFrame) -> FramePath:
         )
     n, m = start.n, start.m
     if m < 2 * n:
-        raise CardinalityTooSmall(f"path construction needs m >= 2n, got m={m}, n={n}")
+        raise FramecertError(f"path construction needs m >= 2n, got m={m}, n={n}")
     if not start.is_frame:
         raise NotAFrame("start family does not span")
     if not end.is_frame:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotAFrame, SingularTransform, ZeroScalar
+from .errors import FramecertError, NotAFrame
 
 __all__ = [
     "RANK_RTOL",
@@ -58,7 +58,7 @@ RANK_RTOL = 1e-9
 # <= EIG_FLOOR_RTOL * largest.
 EIG_FLOOR_RTOL = 1e-12
 
-# Default condition-number cap for transforms that must stay invertible.
+# Condition-number cap for transforms that must stay invertible.
 COND_CAP = 1e12
 
 
@@ -96,15 +96,15 @@ def unrealify(xi: np.ndarray) -> np.ndarray:
     return xi[:n] + 1j * xi[n:]
 
 
-def rank_by_svd(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank: number of singular values above rtol * largest."""
+def rank_by_svd(mat: np.ndarray) -> int:
+    """Numerical rank: number of singular values above RANK_RTOL * largest."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rtol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
 
 
 def _infer_field(vectors: np.ndarray) -> str:
@@ -249,16 +249,17 @@ def r_matrix(rf: RealifiedFrame, xi: np.ndarray) -> np.ndarray:
     return r_matrices(rf, xi)
 
 
-def l_matrix(rf: RealifiedFrame, xi: np.ndarray) -> np.ndarray:
+def l_matrix(rf: RealifiedFrame, X: np.ndarray) -> np.ndarray:
     """r_matrix plus the rank-one completion (J xi)(J xi)^T in the phase
-    direction.
+    direction, for one direction xi of shape (2n,) or at every row of a
+    stack X of shape (..., 2n), as in ``gradient_rows``.
 
     For a phase retrievable frame with injectivity margin a0 this matrix is
     bounded below by min(1, a0) * ||xi||^2 on the whole space.
     """
-    xi = np.asarray(xi, dtype=np.float64).reshape(-1)
-    Jxi = rf.J @ xi
-    return r_matrix(rf, xi) + np.outer(Jxi, Jxi)
+    X = np.asarray(X, dtype=np.float64)
+    JX = X @ rf.J.T
+    return r_matrices(rf, X) + JX[..., :, None] * JX[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -328,15 +329,14 @@ def gram_squared(fr: ComplexFrame) -> np.ndarray:
     return np.abs(G) ** 2
 
 
-def transform_frame(fr: ComplexFrame, T: np.ndarray, z: np.ndarray,
-                    cond_cap: float = COND_CAP) -> ComplexFrame:
+def transform_frame(fr: ComplexFrame, T: np.ndarray, z: np.ndarray) -> ComplexFrame:
     """Apply g_k = z_k * (T f_k) with invertible T and nonzero scalars z_k.
 
     Phase retrievability is preserved by such transforms, which is what
     makes them useful for moving certificates between equivalent frames.
 
-    Raises SingularTransform when the condition number of T exceeds
-    ``cond_cap`` (or is not finite), and ZeroScalar when some z_k is 0.
+    Raises FramecertError when the condition number of T exceeds COND_CAP
+    (or is not finite), or when some z_k is 0.
     """
     T = np.asarray(T, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
@@ -345,11 +345,11 @@ def transform_frame(fr: ComplexFrame, T: np.ndarray, z: np.ndarray,
     if z.size != fr.m:
         raise ValueError(f"need one scalar per vector, got {z.size} for m={fr.m}")
     if np.any(z == 0):
-        raise ZeroScalar("all scalars z_k must be nonzero")
+        raise FramecertError("all scalars z_k must be nonzero")
     cond = np.linalg.cond(T)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise SingularTransform(
-            f"transform condition number {cond:g} exceeds cap {cond_cap:g}"
+    if not np.isfinite(cond) or cond > COND_CAP:
+        raise FramecertError(
+            f"transform condition number {cond:g} exceeds cap {COND_CAP:g}"
         )
     out = fr.vectors @ T.T * z[:, None]
     return ComplexFrame.from_vectors(out)

@@ -2,24 +2,17 @@
 
 Every error is a subclass of :class:`FramecertError`, so callers that only
 want a broad "this input was rejected" category can catch the base class.
+A subclass exists only where a caller acts on it or several sites share it;
+other rejections raise ``FramecertError`` itself with a message naming the
+cause.
 """
 
 __all__ = [
     "FramecertError",
     "NotAFrame",
-    "SingularTransform",
-    "ZeroScalar",
-    "AsymmetricInput",
-    "ZeroXi",
-    "NotRealFrame",
-    "TooLarge",
     "NotRetrievableInput",
     "ShapeMismatch",
-    "BadDimension",
-    "DeniedAngle",
     "BadCardinality",
-    "DegenerateAfterRetries",
-    "CardinalityTooSmall",
     "SelectionFailed",
     "FrameFormatError",
 ]
@@ -33,32 +26,6 @@ class NotAFrame(FramecertError):
     """The vector family does not span the ambient space."""
 
 
-class SingularTransform(FramecertError):
-    """An invertible transform was required but the matrix is singular or
-    too ill conditioned to trust."""
-
-
-class ZeroScalar(FramecertError):
-    """A nonzero scalar multiplier was required but a zero was supplied."""
-
-
-class AsymmetricInput(FramecertError):
-    """A symmetric matrix was required but the input is not symmetric."""
-
-
-class ZeroXi(FramecertError):
-    """A nonzero direction vector was required."""
-
-
-class NotRealFrame(FramecertError):
-    """A real frame was required but some entry has a nonzero imaginary
-    part."""
-
-
-class TooLarge(FramecertError):
-    """The input exceeds the size cap of an exhaustive check."""
-
-
 class NotRetrievableInput(FramecertError):
     """An operation that only makes sense for a phase retrievable frame was
     given a frame without a positive injectivity margin."""
@@ -68,27 +35,9 @@ class ShapeMismatch(FramecertError):
     """Two frames were required to share the same dimensions."""
 
 
-class BadDimension(FramecertError):
-    """The requested ambient dimension is outside the valid range."""
-
-
-class DeniedAngle(FramecertError):
-    """The requested construction angle lies on the excluded rational
-    multiples of pi."""
-
-
 class BadCardinality(FramecertError):
     """The requested number of vectors is incompatible with the requested
     dimension."""
-
-
-class DegenerateAfterRetries(FramecertError):
-    """Random generation kept producing rank-deficient families and gave
-    up."""
-
-
-class CardinalityTooSmall(FramecertError):
-    """A construction needs more vectors than were supplied."""
 
 
 class SelectionFailed(FramecertError):

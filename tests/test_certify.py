@@ -12,13 +12,10 @@ from framecert import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
-    AsymmetricInput,
     BodmannHammenParams,
     ComplexFrame,
-    NotRealFrame,
+    FramecertError,
     RealifiedFrame,
-    TooLarge,
-    ZeroXi,
     bodmann_hammen,
     certify_complex,
     certify_real,
@@ -45,7 +42,7 @@ def bh(n, variant="two_pi"):
 def test_eigenvalue_2n_minus_1_picks_second_smallest():
     M = np.diag([5.0, -1.0, 3.0, 0.5])
     assert eigenvalue_2n_minus_1(M) == 0.5
-    with pytest.raises(AsymmetricInput):
+    with pytest.raises(FramecertError, match="matrix is not symmetric within tolerance"):
         eigenvalue_2n_minus_1(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalue_2n_minus_1(np.zeros((3, 3)))
@@ -132,7 +129,7 @@ def test_rank_kernel_check_detects_excess_kernel():
     assert result.rank == 1
     assert result.kernel_dim == 3
     assert not result.kernel_is_span_jxi
-    with pytest.raises(ZeroXi):
+    with pytest.raises(FramecertError, match="direction xi must be nonzero"):
         rank_kernel_check(rf, np.zeros(4))
 
 
@@ -318,10 +315,10 @@ def test_complement_property_fails_for_orthonormal_bases():
 
 
 def test_complement_property_rejects_complex_and_oversized_frames():
-    with pytest.raises(NotRealFrame):
+    with pytest.raises(FramecertError, match="complement property is defined for real frames only"):
         complement_property(bh(2))
     big = ComplexFrame.from_vectors(np.ones((31, 1)))
-    with pytest.raises(TooLarge):
+    with pytest.raises(FramecertError, match="exhaustive bipartition check caps at m=30, got m=31"):
         complement_property(big)
 
 

@@ -17,7 +17,7 @@ from framecert import (
     r3_example,
     trivial_non_retrievable,
 )
-from framecert.cli import main
+from framecert.cli import RunConfig, main
 
 
 @pytest.fixture()
@@ -248,3 +248,27 @@ def test_report_survives_serialization_round_trip(tmp_path, capsys):
     assert roundtrip.verdict == direct.verdict
     np.testing.assert_array_equal(np.asarray(roundtrip.witness_xi),
                                   np.asarray(direct.witness_xi))
+
+
+def test_config_envelope_records_the_solver_settings(frames, capsys):
+    argv_tail = ["--starts", "8", "--tol", "1e-9", "--seed", "3"]
+    for argv in (["certify", "--frame", frames["bh2"]],
+                 ["certify", "--frame", frames["r3"]],
+                 ["rho", "--frame", frames["bh2"]]):
+        _, doc = run_json(capsys, argv + argv_tail)
+        assert (doc["config"]["seed"], doc["config"]["starts"], doc["config"]["tol"]) == (3, 8, 1e-9)
+        report = doc["report"].get("certification", doc["report"])
+        assert not {"seed", "starts", "tol"} & set(report)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_settings_are_usage_errors(frames, capsys, bad):
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(tol=float(bad))
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(radius_fraction=float(bad))
+    assert main(["certify", "--frame", frames["bh2"], "--starts", "8", "--tol", bad]) == 64
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert main(["experiment", "perturb", "--frame", frames["bh2"], "--trials", "1",
+                 "--starts", "8", "--radius-fraction", bad]) == 64
+    assert "radius_fraction must be positive and finite" in capsys.readouterr().err

@@ -7,10 +7,9 @@ import pytest
 
 from framecert import (
     ComplexFrame,
+    FramecertError,
     NotAFrame,
     RealifiedFrame,
-    SingularTransform,
-    ZeroScalar,
     build_phi,
     canonical_dual,
     frame_bounds,
@@ -179,6 +178,19 @@ def test_l_matrix_completes_the_phase_direction():
     assert abs(Jxi @ L @ Jxi - 1.0) < 1e-10
 
 
+def test_l_matrix_takes_a_stack_of_directions():
+    rng = np.random.default_rng(13)
+    rf = RealifiedFrame.from_frame(
+        ComplexFrame.from_vectors(random_complex(rng, 5 * 3).reshape(5, 3)))
+    X = rng.standard_normal((2, 4, 6))
+    stacked = l_matrix(rf, X)
+    assert stacked.shape == (2, 4, 6, 6)
+    for i in range(2):
+        for j in range(4):
+            np.testing.assert_allclose(stacked[i, j], l_matrix(rf, X[i, j]),
+                                       rtol=1e-12, atol=1e-14)
+
+
 def test_sym_outer_eigenvalue_signature_and_nuclear_norm():
     rng = np.random.default_rng(12)
     for _ in range(30):
@@ -275,9 +287,9 @@ def test_gram_squared_invariances():
 
 def test_transform_frame_rejects_bad_inputs():
     fr = ComplexFrame.from_vectors(np.eye(2))
-    with pytest.raises(ZeroScalar):
+    with pytest.raises(FramecertError, match="all scalars z_k must be nonzero"):
         transform_frame(fr, np.eye(2), np.array([1.0, 0.0]))
-    with pytest.raises(SingularTransform):
+    with pytest.raises(FramecertError, match="transform condition number .* exceeds cap 1e\\+12"):
         transform_frame(fr, np.array([[1, 0], [0, 0]]), np.ones(2))
     with pytest.raises(ValueError):
         transform_frame(fr, np.eye(3), np.ones(2))

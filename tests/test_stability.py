@@ -275,3 +275,54 @@ def test_complement_survives_small_real_perturbations():
         moved = perturb_frame(fr, 0.01, seed=seed)
         assert moved.field == "real"
         assert complement_property(moved).holds
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_perturb_frame_is_uniform_on_the_open_ball(field, n):
+    # (|delta| / r)^d is uniform on [0, 1) for a uniform draw from the ball
+    # in d real dimensions, so its mean over 2000 draws is 1/2 within about
+    # 0.0065 (one standard deviation)
+    rng = np.random.default_rng(n)
+    vectors = rng.standard_normal((250, n)).astype(complex)
+    if field == "complex":
+        vectors += 1j * rng.standard_normal((250, n))
+    fr = ComplexFrame.from_vectors(vectors, field=field)
+    d = n if field == "real" else 2 * n
+    radius = 0.3
+    deltas = np.concatenate([perturb_frame(fr, radius, seed=s).vectors - fr.vectors
+                             for s in range(8)])
+    if field == "real":
+        np.testing.assert_array_equal(deltas.imag, 0.0)
+    lengths = np.linalg.norm(deltas, axis=1)
+    assert np.all(lengths < radius)
+    assert abs(np.mean((lengths / radius) ** d) - 0.5) < 0.03
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_settings_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        perturb_frame(bh2(), bad)
+    with pytest.raises(ValueError, match="finite"):
+        stability_experiment(bh2(), trials=1, radius_fraction=bad)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_a0(RealifiedFrame.from_frame(bh2()), tol=bad)
+
+
+def test_gap_audit_matches_a_per_sample_loop():
+    fr = bh2()
+    moved = perturb_frame(fr, 0.05, seed=4)
+    audit = l_matrix_gap_audit(fr, moved, samples=60, seed=21)
+    rf, rf2 = RealifiedFrame.from_frame(fr), RealifiedFrame.from_frame(moved)
+    rng = np.random.default_rng(21)
+    gaps, lams = [], []
+    for _ in range(60):
+        xi = rng.standard_normal(rf.two_n)
+        xi /= np.linalg.norm(xi)
+        eta = rng.standard_normal(rf.two_n)
+        eta /= np.linalg.norm(eta)
+        L2 = l_matrix(rf2, xi)
+        gaps.append(abs(float(eta @ (l_matrix(rf, xi) - L2) @ eta)))
+        lams.append(float(np.linalg.eigvalsh(L2)[0]))
+    assert audit.max_gap == pytest.approx(max(gaps), rel=1e-12)
+    assert audit.min_lambda_min_perturbed == pytest.approx(min(lams), rel=1e-12)
