@@ -27,6 +27,7 @@ from framecert import (
     magnitude_separation_check,
     r3_example,
     r_matrix,
+    rank_by_svd,
     rank_kernel_check,
     random_frame,
     realify,
@@ -287,39 +288,84 @@ def test_complement_property_reference_family():
     assert complement_property(r3_example()).holds
 
 
+def assert_failing_partition(fr, partition):
+    """The defining property of a failing partition: vector 0 is on side 1
+    and neither side spans R^n."""
+    side_one = np.array(partition, dtype=bool)
+    assert side_one.shape == (fr.m,)
+    assert side_one[0]
+    V = fr.vectors.real
+    assert rank_by_svd(V[side_one]) < fr.n
+    assert rank_by_svd(V[~side_one]) < fr.n
+
+
 def test_complement_property_five_vector_subsets_fail():
-    # dropping any vector from the six-vector family breaks the property;
-    # the first failing bipartition per drop is pinned
-    expected_masks = {0: 9, 1: 5, 2: 3, 3: 4, 4: 4, 5: 5}
+    # dropping any vector from the six-vector family breaks the property
     full = r3_example().vectors
-    for drop, mask in expected_masks.items():
+    for drop in range(6):
         sub = ComplexFrame.from_vectors(np.delete(full, drop, axis=0), field="real")
         result = complement_property(sub)
         assert not result.holds
-        side_one = [True] + [bool(mask >> i & 1) for i in range(sub.m - 1)]
-        assert result.failing_partition == tuple(int(b) for b in side_one)
-        picked = sub.vectors.real[np.array(side_one)]
-        rest = sub.vectors.real[~np.array(side_one)]
-        assert np.linalg.matrix_rank(picked) < 3
-        assert np.linalg.matrix_rank(rest) < 3
+        assert_failing_partition(sub, result.failing_partition)
 
 
 def test_complement_property_fails_for_orthonormal_bases():
-    # n vectors cannot satisfy the property for n >= 2; the very first
-    # bipartition (basis vector one against the rest) already fails
+    # n vectors cannot satisfy the property for n >= 2
     for n in (2, 3, 4):
         fr = ComplexFrame.from_vectors(np.eye(n), field="real")
         result = complement_property(fr)
         assert not result.holds
-        assert result.failing_partition == (1,) + (0,) * (n - 1)
+        assert_failing_partition(fr, result.failing_partition)
+
+
+def test_complement_partition_puts_vector_0_on_side_1_when_it_is_off_the_hyperplane():
+    # vector 0 is too short to span a hyperplane with any other vector, so
+    # the first failing hyperplane is span{e1, e2}, which it lies off
+    V = np.array([[0.0, 0.0, 1e-12], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    fr = ComplexFrame.from_vectors(V, field="real")
+    result = complement_property(fr)
+    assert not result.holds
+    assert_failing_partition(fr, result.failing_partition)
 
 
 def test_complement_property_rejects_complex_and_oversized_frames():
     with pytest.raises(FramecertError, match="complement property is defined for real frames only"):
         complement_property(bh(2))
-    big = ComplexFrame.from_vectors(np.ones((31, 1)))
-    with pytest.raises(FramecertError, match="exhaustive bipartition check caps at m=30, got m=31"):
+    big = ComplexFrame.from_vectors(np.ones((40, 6)), field="real")
+    with pytest.raises(FramecertError, match=(r"hyperplane check caps at 20000 candidate "
+                                              r"hyperplanes, got C\(40, 5\) = 658008")):
         complement_property(big)
+    # thirty-one vectors in R^1 are one candidate, far below the cap
+    assert complement_property(ComplexFrame.from_vectors(np.ones((31, 1)), field="real")).holds
+    # the cap counts candidates: C(20000, 1) is admitted (and decided at
+    # once, the family spanning only a line), C(20001, 1) is refused
+    line = np.outer(np.ones(20001), [1.0, 0.0])
+    result = complement_property(ComplexFrame.from_vectors(line[:20000], field="real"))
+    assert result.failing_partition == (1,) * 20000
+    with pytest.raises(FramecertError, match=r"got C\(20001, 1\) = 20001"):
+        complement_property(ComplexFrame.from_vectors(line, field="real"))
+
+
+def two_plane_frame(m, seed):
+    """m real vectors in R^3 on two random planes, vector 0 and every third
+    one on the first; their split by plane is the only failing bipartition."""
+    rng = np.random.default_rng(seed)
+    planes = [np.linalg.qr(rng.standard_normal((3, 2)))[0] for _ in range(2)]
+    on_first = np.arange(m) % 3 == 0
+    V = np.array([planes[0 if first else 1] @ rng.standard_normal(2) for first in on_first])
+    return ComplexFrame.from_vectors(V, field="real"), on_first
+
+
+def test_certify_real_decides_thirty_vectors_in_r3():
+    rng = np.random.default_rng(30)
+    rep = certify_real(ComplexFrame.from_vectors(rng.standard_normal((30, 3)), field="real"))
+    assert rep.verdict == VERDICT_RETRIEVABLE
+    assert rep.failing_partition is None
+    fr, on_first = two_plane_frame(30, seed=31)
+    rep = certify_real(fr)
+    assert rep.verdict == VERDICT_NOT_RETRIEVABLE
+    assert_failing_partition(fr, rep.failing_partition)
+    assert rep.failing_partition == tuple(int(b) for b in on_first)
 
 
 def test_certify_real_wraps_the_complement_check():

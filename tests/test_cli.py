@@ -79,6 +79,23 @@ def test_certify_complement_on_complex_frame_is_usage_error(frames, capsys):
     assert "real" in capsys.readouterr().err
 
 
+def test_certify_complement_decides_thirty_vectors_in_r3(tmp_path, capsys):
+    rng = np.random.default_rng(30)
+    holds = ComplexFrame.from_vectors(rng.standard_normal((30, 3)), field="real")
+    # vector 0 and every third one on one random plane, the rest on another
+    planes = [np.linalg.qr(rng.standard_normal((3, 2)))[0] for _ in range(2)]
+    on_first = np.arange(30) % 3 == 0
+    fails = ComplexFrame.from_vectors(
+        [planes[0 if first else 1] @ rng.standard_normal(2) for first in on_first], field="real")
+    for name, fr, expected in (("holds", holds, 0), ("fails", fails, 1)):
+        p = tmp_path / f"{name}.json"
+        dump_frame(fr, str(p))
+        code, doc = run_json(capsys, ["certify", "--frame", str(p), "--method", "complement"])
+        assert code == expected
+        assert doc["report"]["method"] == "complement"
+    assert doc["report"]["failing_partition"] == [int(b) for b in on_first]
+
+
 def test_rho_reports_radius(frames, capsys):
     code, doc = run_json(capsys, ["rho", "--frame", frames["bh2"], "--starts", "16"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Property tests for the batched realified kernel, the batched separation
-check and the cached start directions of the margin descent."""
+check, the cached start directions of the margin descent and the
+hyperplane test of the complement property."""
 
 from __future__ import annotations
 
@@ -11,10 +12,12 @@ from framecert import (
     ComplexFrame,
     RealifiedFrame,
     build_phi,
+    complement_property,
     estimate_a0,
     magnitude_separation_check,
     r_matrices,
     r_matrix,
+    rank_by_svd,
     separation_sides,
 )
 from framecert import certify as certify_module
@@ -110,3 +113,69 @@ def test_estimate_a0_is_the_same_on_cold_and_warm_start_cache(n, starts, seed, f
         cached = certify_module._start_direction(seed + i, 2 * n)
         np.testing.assert_array_equal(cached, v / np.linalg.norm(v))
         assert not cached.flags.writeable
+
+
+def exhaustive_complement_holds(V: np.ndarray) -> bool:
+    """Reference complement-property check: every bipartition, as masks
+    0 .. 2^(m-1) - 1 with vector 0 pinned to side one (bit i of the mask
+    puts vector i+1 there), must have a spanning side."""
+    m, n = V.shape
+    for mask in range(2 ** (m - 1)):
+        side_one = np.zeros(m, dtype=bool)
+        side_one[0] = True
+        for i in range(m - 1):
+            if mask >> i & 1:
+                side_one[i + 1] = True
+        if rank_by_svd(V[side_one]) == n:
+            continue
+        if rank_by_svd(V[~side_one]) == n:
+            continue
+        return False
+    return True
+
+
+@st.composite
+def integer_frames(draw):
+    """m <= 10 vectors in R^n, n = 1..4, with entries in {-1, 0, 1} and up
+    to two rows zeroed."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=10))
+    entries = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m * n, max_size=m * n))
+    zeroed = draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=2))
+    V = np.array(entries, dtype=np.float64).reshape(m, n)
+    V[zeroed] = 0.0
+    return V
+
+
+def decide(V: np.ndarray):
+    """complement_property on the rows of V, with any failing partition
+    checked against its definition: vector 0 on side 1, no spanning side."""
+    result = complement_property(ComplexFrame.from_vectors(V, field="real"))
+    if not result.holds:
+        side_one = np.array(result.failing_partition, dtype=bool)
+        assert side_one.shape == (V.shape[0],) and side_one[0]
+        assert rank_by_svd(V[side_one]) < V.shape[1]
+        assert rank_by_svd(V[~side_one]) < V.shape[1]
+    return result.holds
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_frames())
+def test_hyperplane_test_agrees_with_the_exhaustive_scan(V):
+    assert decide(V) == exhaustive_complement_holds(V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_frames(), SEEDS)
+def test_complement_verdict_survives_permutation_scaling_and_transforms(V, seed):
+    rng = np.random.default_rng(seed)
+    m, n = V.shape
+    holds = decide(V)
+    assert decide(V[rng.permutation(m)]) == holds
+    scales = rng.choice((-1.0, 1.0), size=m) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    assert decide(scales[:, None] * V) == holds
+    # well conditioned: singular values in [0.5, 2]
+    Q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    T = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q2
+    assert decide(V @ T.T) == holds
