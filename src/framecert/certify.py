@@ -5,15 +5,21 @@ The central quantity is the spectral injectivity margin
     a0 = min over unit xi of (second-smallest eigenvalue of r_matrix(rf, xi))
 
 A frame in C^n is phase retrievable exactly when a0 > 0.  The margin is
-estimated by multistart block descent (``estimate_a0``); because numerical
-minimization can only ever over-estimate a minimum, the returned value is an
-upper bound on the true margin and never by itself a certificate.
+estimated from many starts in two phases (``estimate_a0``): at most
+BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
+L-BFGS on lambda_2(R(xi)) over the unit sphere for the starts still
+descending, all within a total budget of max_iter iterations per start.
+Because numerical minimization can only ever over-estimate a minimum, the
+returned value is an upper bound on the true margin and never by itself a
+certificate.
 
 Verdict thresholds:
 
 * a0 > TAU_PR (1e-6): Retrievable, after cross-validation of the magnitude
   separation inequality on random pairs
-* a0 < TAU_NPR (1e-10) and a verified rank-deficiency witness: NotRetrievable
+* a0 < TAU_NPR (1e-10): NotRetrievable only when, after a further polish of
+  the witness, its second eigenvalue is zero to rounding (at most 2n eps
+  times the largest), which also makes the kernel at least two dimensional
 * anything else: Inconclusive
 
 The deliberately wide gap between the two thresholds is the honesty band: a
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -62,11 +68,14 @@ __all__ = [
     "VERDICT_RETRIEVABLE",
     "VERDICT_NOT_RETRIEVABLE",
     "VERDICT_INCONCLUSIVE",
+    "BLOCK_ITERS",
+    "MAX_ITER",
+    "SearchDiagnostics",
+    "MarginEstimate",
     "CertificationReport",
     "RankKernelResult",
     "ComplementResult",
     "CardinalityBounds",
-    "eigenvalue_2n_minus_1",
     "estimate_a0",
     "rank_kernel_check",
     "magnitude_separation_check",
@@ -91,6 +100,23 @@ KERNEL_ANGLE_TOL = 1e-6
 # numpy 2.4.6), so the largest admitted frame is decided in about a second.
 COMPLEMENT_MAX_CANDIDATES = 20_000
 
+# Phase 1 of ``estimate_a0``: batched block-descent iterations before the
+# starts still descending switch to Riemannian L-BFGS.
+BLOCK_ITERS = 100
+
+# Phase 2: L-BFGS memory, Armijo sufficient-decrease constant, halvings
+# tried before a line search gives up, the stopping rule on the Riemannian
+# gradient relative to trace R(xi), and the steps over which a run's rate
+# of decrease is measured to stop runs that cannot reach the best value.
+LBFGS_MEMORY = 8
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 10
+POLISH_GTOL = 1e-9
+STALL_WINDOW = 25
+
+# Iteration budget per start of ``estimate_a0``, over both of its phases.
+MAX_ITER = 2000
+
 # Random pairs used to cross-validate a Retrievable verdict.
 CROSS_CHECK_PAIRS = 100
 
@@ -105,6 +131,57 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
+class SearchDiagnostics:
+    """Convergence counts of one ``estimate_a0`` run.
+
+    ``starts`` is the number of starts; ``block_converged`` of them stopped
+    in the block descent (phase 1), ``polished`` went on to the L-BFGS
+    phase, and ``hit_budget`` used all max_iter iterations without meeting
+    a stopping rule.  ``block_iterations`` and ``polish_iterations`` count
+    the batched iterations of each phase, ``best_iterations`` the
+    iterations of the start that gave the margin, and ``best_hit_budget``
+    says whether that start used up the budget.
+    ``witness_polish_iterations`` counts the further polish that
+    ``certify_complex`` gives a witness below TAU_NPR.  Counts only, so
+    reruns give identical reports.
+    """
+
+    starts: int
+    block_converged: int
+    polished: int
+    hit_budget: int
+    block_iterations: int
+    polish_iterations: int
+    best_iterations: int
+    best_hit_budget: bool
+    witness_polish_iterations: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+class MarginEstimate(tuple):
+    """The pair (a0, witness) returned by ``estimate_a0``, unpacking and
+    indexing as a tuple, with the run's ``SearchDiagnostics`` attached."""
+
+    def __new__(cls, a0: float, witness: np.ndarray, diagnostics: SearchDiagnostics):
+        self = super().__new__(cls, (a0, witness))
+        self.diagnostics = diagnostics
+        return self
+
+    def __getnewargs__(self):
+        return (self[0], self[1], self.diagnostics)
+
+    @property
+    def a0(self) -> float:
+        return self[0]
+
+    @property
+    def witness(self) -> np.ndarray:
+        return self[1]
+
+
+@dataclass(frozen=True)
 class CertificationReport:
     """Outcome of a certification run.
 
@@ -114,7 +191,8 @@ class CertificationReport:
     realified direction achieving the reported margin; ``kernel_excess`` is
     a direction at which the kernel of r_matrix was verified to have
     dimension >= 2, when one was found.  ``failing_partition`` is set only
-    by the complement route.
+    by the complement route, ``diagnostics`` (the margin search's
+    convergence counts) only by the eigen route.
     """
 
     verdict: str
@@ -123,6 +201,7 @@ class CertificationReport:
     kernel_excess: Optional[np.ndarray]
     method: str
     failing_partition: Optional[tuple[int, ...]] = None
+    diagnostics: Optional[SearchDiagnostics] = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -131,6 +210,7 @@ class CertificationReport:
             "witness_xi": None if self.witness_xi is None else [float(v) for v in self.witness_xi],
             "method": self.method,
             "kernel_excess": None if self.kernel_excess is None else [float(v) for v in self.kernel_excess],
+            "diagnostics": None if self.diagnostics is None else self.diagnostics.to_dict(),
         }
         if self.method == "complement":
             doc["failing_partition"] = (
@@ -187,45 +267,38 @@ class CardinalityBounds:
         }
 
 
-def eigenvalue_2n_minus_1(M: np.ndarray) -> float:
-    """Second-smallest eigenvalue of a symmetric 2n x 2n matrix, i.e. the
-    (2n-1)-th largest of its 2n eigenvalues.
-
-    Raises FramecertError when ||M - M^T|| > 1e-10 * ||M||.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got shape {M.shape}")
-    if M.shape[0] % 2 != 0 or M.shape[0] < 2:
-        raise ValueError(f"M must be 2n x 2n with n >= 1, got shape {M.shape}")
-    scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.T) > 1e-10 * scale:
-        raise FramecertError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return float(w[1])
-
-
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
-    """One block update of the alternating descent.
+    """One block update of the alternating descent, and the evaluation of
+    f(xi) = lambda_2(R(xi)) in the L-BFGS phase.
 
     For each row xi of X, form R = r_matrix at xi, deflate the phase
     direction J xi upward, and return the eigenvector of the smallest
-    remaining eigenvalue together with that eigenvalue.  The eigenvector is
-    the exact minimizer of w^T R w over unit w orthogonal to J xi, which is
-    the second-smallest eigenvalue of R because J xi is always in the
-    kernel.
+    remaining eigenvalue together with that eigenvalue and trace R.  The
+    eigenvector is the exact minimizer of w^T R w over unit w orthogonal to
+    J xi, which is the second-smallest eigenvalue of R because J xi is
+    always in the kernel.
     """
     R = r_matrices(rf, X)
     U = _unit_rows(X @ rf.J.T)
+    trace = np.trace(R, axis1=1, axis2=2)
     # trace + 1 strictly dominates the largest eigenvalue of a PSD matrix
-    c = np.trace(R, axis1=1, axis2=2) + 1.0
-    R_def = R + c[:, None, None] * U[:, :, None] * U[:, None, :]
+    R_def = R + (trace + 1.0)[:, None, None] * U[:, :, None] * U[:, None, :]
     vals, vecs = np.linalg.eigh(R_def)
-    return vecs[:, :, 0], vals[:, 0]
+    return vecs[:, :, 0], vals[:, 0], trace
+
+
+def _sphere_gradient(rf: RealifiedFrame, X: np.ndarray, W: np.ndarray,
+                     f: np.ndarray) -> np.ndarray:
+    """Riemannian gradient 2 (R(w) xi - f xi) of f(xi) = lambda_2(R(xi)) on
+    the unit sphere, at each row xi of X with its deflated eigenvector w and
+    value f.  It follows from w^T R(xi) w = xi^T R(w) xi."""
+    B = gradient_rows(rf, W)
+    Rw_xi = (np.swapaxes(B, -1, -2) @ (B @ X[:, :, None]))[:, :, 0]
+    return 2.0 * (Rw_xi - f[:, None] * X)
 
 
 @lru_cache(maxsize=4096)
@@ -242,28 +315,171 @@ def _start_direction(seed: int, two_n: int) -> np.ndarray:
     return v
 
 
-def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
-                tol: float = 1e-10, seed: int = 42) -> tuple[float, np.ndarray]:
+def _lbfgs_product(S: np.ndarray, Y: np.ndarray, valid: np.ndarray,
+                   gamma: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The L-BFGS inverse-Hessian approximation applied to each row of G,
+    in the compact form of Byrd, Nocedal and Schnabel (1994):
+
+        H g = gamma g + S^T top - gamma Y^T p,   p = R^-1 S g,
+        top = R^-T ((D + gamma Y Y^T) p - gamma Y g),
+
+    with pairs (s_i, y_i) stored oldest first as the rows of S and Y,
+    shape (b, memory, d), R the upper triangle of S Y^T and D its diagonal.
+    Slots not ``valid`` hold zeros; a unit diagonal entry of R decouples
+    them.
+    """
+    SY = S @ np.swapaxes(Y, 1, 2)
+    R = np.triu(SY) + np.eye(S.shape[1]) * ~valid[:, :, None]
+    Sg = (S @ G[:, :, None])[:, :, 0]
+    Yg = (Y @ G[:, :, None])[:, :, 0]
+    p = np.linalg.solve(R, Sg[:, :, None])
+    YYp = Y @ (np.swapaxes(Y, 1, 2) @ p)
+    rhs = np.diagonal(SY, axis1=1, axis2=2)[:, :, None] * p + gamma[:, None, None] * YYp
+    top = np.linalg.solve(np.swapaxes(R, 1, 2), rhs - gamma[:, None, None] * Yg[:, :, None])
+    return (gamma[:, None] * G + (np.swapaxes(S, 1, 2) @ top)[:, :, 0]
+            - gamma[:, None] * (np.swapaxes(Y, 1, 2) @ p)[:, :, 0])
+
+
+def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.inf):
+    """Batched Riemannian L-BFGS on f(xi) = lambda_2(R(xi)) over the unit
+    sphere, one independent run per row of X, each taking at most
+    ``budget`` steps.
+
+    A step moves along the L-BFGS direction (memory LBFGS_MEMORY, projected
+    onto the tangent space; the scaled gradient when that is not a descent
+    direction), retracts by normalization and halves the step until the
+    Armijo condition holds, so f never increases.  When MAX_BACKTRACKS
+    halvings find no decrease, the run drops its memory and takes a
+    gradient step next; when a gradient step fails so, f is resolved to
+    rounding and the run stops.  A run also stops when its Riemannian
+    gradient is at most POLISH_GTOL times trace R(xi), and, checked every
+    STALL_WINDOW steps, when falling at the rate of its last STALL_WINDOW
+    steps it would not reach the lowest value seen in the batch (or
+    ``target``, when lower) within the steps left.
+
+    Returns the final rows, the steps each run took, and whether each
+    stopped by one of these rules rather than by spending the budget.
+    """
+    X = np.array(X, dtype=np.float64)
+    b, d = X.shape
+    used = np.zeros(b, dtype=np.int64)
+    stopped = np.zeros(b, dtype=bool)
+    w, f, T = _block_min_eig(rf, X)
+    g = _sphere_gradient(rf, X, w, f)
+    # state of the runs still going, compacted whenever some stop
+    idx, x = np.arange(b), X.copy()
+    S = np.zeros((b, LBFGS_MEMORY, d))
+    Y = np.zeros((b, LBFGS_MEMORY, d))
+    valid = np.zeros((b, LBFGS_MEMORY), dtype=bool)
+    gamma = 0.5 / T
+    f_then = f.copy()
+    best = min(target, float(f.min()))
+    step = 0
+
+    def retire(stop):
+        nonlocal idx, x, w, f, T, g, S, Y, valid, gamma, f_then
+        stopped[idx[stop]] = True
+        X[idx[stop]] = x[stop]
+        keep = ~stop
+        idx, x, w, f, T, g = idx[keep], x[keep], w[keep], f[keep], T[keep], g[keep]
+        S, Y, valid, gamma, f_then = S[keep], Y[keep], valid[keep], gamma[keep], f_then[keep]
+        return keep
+
+    while True:
+        stop = np.sqrt((g * g).sum(1)) <= POLISH_GTOL * T
+        if step and step % STALL_WINDOW == 0:
+            # steps needed to reach the best value at the recent rate
+            with np.errstate(divide="ignore", invalid="ignore"):
+                need = STALL_WINDOW * np.log(f / best) / np.log(f_then / f)
+            stop |= (f > best) & ~(need <= budget - step)
+            f_then = f.copy()
+        if stop.any():
+            retire(stop)
+        if idx.size == 0 or step == budget:
+            break
+        r = _lbfgs_product(S, Y, valid, gamma, g)
+        D = (r * x).sum(1)[:, None] * x - r
+        slope = (g * D).sum(1)
+        reset = ~(slope < 0.0)
+        if reset.any():
+            D[reset] = -gamma[reset, None] * g[reset]
+            slope[reset] = -gamma[reset] * (g[reset] * g[reset]).sum(1)
+            S[reset], Y[reset], valid[reset] = 0.0, 0.0, False
+        # Armijo backtracking, re-evaluating only the runs still pending
+        t = np.ones(idx.size)
+        xn, wn, fn, Tn = np.empty_like(x), np.empty_like(x), f.copy(), T.copy()
+        pending = np.arange(idx.size)
+        for _ in range(MAX_BACKTRACKS):
+            cand = _unit_rows(x[pending] + t[pending, None] * D[pending])
+            wc, fc, Tc = _block_min_eig(rf, cand)
+            ok = fc <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending]
+            hit = pending[ok]
+            xn[hit], wn[hit], fn[hit], Tn[hit] = cand[ok], wc[ok], fc[ok], Tc[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t[pending] *= 0.5
+        used[idx] += 1
+        step += 1
+        if pending.size:
+            # a failed quasi-Newton step drops its memory and retries along
+            # the gradient; a failed gradient step has resolved f
+            stalled = np.zeros(idx.size, dtype=bool)
+            stalled[pending] = ~valid[pending].any(axis=1)
+            retry = pending[~stalled[pending]]
+            S[retry], Y[retry], valid[retry] = 0.0, 0.0, False
+            gamma[retry] = 0.5 / T[retry]
+            xn[retry], wn[retry], fn[retry], Tn[retry] = x[retry], w[retry], f[retry], T[retry]
+            keep = retire(stalled)
+            xn, wn, fn, Tn = xn[keep], wn[keep], fn[keep], Tn[keep]
+            if idx.size == 0:
+                break
+        gn = _sphere_gradient(rf, xn, wn, fn)
+        s_new, y_new = xn - x, gn - g
+        sy = (s_new * y_new).sum(1)
+        yy = (y_new * y_new).sum(1)
+        curved = (sy > 0.0) & (yy > 0.0)
+        # newest pair last; a pair failing the curvature condition is kept
+        # as zeros, which the product ignores
+        S[:, :-1], Y[:, :-1], valid[:, :-1] = S[:, 1:], Y[:, 1:], valid[:, 1:]
+        S[:, -1], Y[:, -1], valid[:, -1] = curved[:, None] * s_new, curved[:, None] * y_new, curved
+        gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
+        x, w, f, T, g = xn, wn, fn, Tn, gn
+        best = min(best, float(f.min()))
+    X[idx] = x
+    return X, used, stopped
+
+
+def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
+                tol: float = 1e-10, seed: int = 42) -> MarginEstimate:
     """Estimate the spectral injectivity margin a0 and return it with the
     unit direction achieving it.
 
-    Multistart block descent: the margin is the minimum over unit pairs
-    (xi, w) with w orthogonal to J xi of sum_k <Phi_k xi, w>^2, a smooth
-    quartic that is symmetric in xi and w.  Each half step minimizes one
-    block exactly through a constrained eigenvector computation and
-    renormalizes, so the objective is nonincreasing; a start stops when its
-    decrease per iteration falls below tol, its value reaches the floor of
-    double precision, or max_iter is hit.  Start i draws its initial
-    direction from a generator seeded with seed + i, so serial and parallel
-    schedules agree and reruns are bit identical.  The start directions are
-    kept in a bounded cache keyed by (seed + i, 2n): calls whose seeds
-    overlap, such as the trials of ``stability_experiment``, draw each one
-    once, and a cached start equals a freshly drawn one bit for bit.
+    Two phases share the budget of max_iter iterations per start.  Start i
+    draws its initial direction from a generator seeded with seed + i, so
+    reruns are bit identical; the directions are kept in a bounded cache
+    keyed by (seed + i, 2n), so calls whose seeds overlap, such as the
+    trials of ``stability_experiment``, draw each one once.
 
-    The result is an upper bound on the true margin (a minimizer may have
-    been missed), so a tiny value suggests, but never proves, that the
-    frame is not retrievable; see rank_kernel_check for the verification
-    step.
+    1. Batched block descent for at most BLOCK_ITERS iterations.  The margin
+       is the minimum over unit pairs (xi, w) with w orthogonal to J xi of
+       sum_k <Phi_k xi, w>^2, a quartic symmetric in xi and w; each half
+       step minimizes one block exactly through a constrained eigenvector
+       computation, so the objective is nonincreasing.  A start stops when
+       its decrease per iteration falls below tol or its value reaches the
+       floor of double precision.
+    2. The starts still descending after phase 1 finish with a batched
+       Riemannian L-BFGS on f(xi) = lambda_2(R(xi)) over the unit sphere
+       (``_polish``), for the rest of their budget.  Block descent stalls
+       in narrow valleys where this converges.
+
+    The reported a0 is the smallest second eigenvalue (``eigvalsh``) of
+    R(xi) over the final directions.  It is an upper bound on the true
+    margin (a minimizer may have been missed), so a tiny value suggests,
+    but never proves, that the frame is not retrievable; see
+    ``certify_complex`` for the verification step.  The result unpacks as
+    the pair (a0, witness) and carries the convergence counts as
+    ``diagnostics``.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
@@ -274,23 +490,46 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = 2000,
     two_n = rf.two_n
     X = np.stack([_start_direction(seed + i, two_n) for i in range(starts)])
     vals = np.full(starts, np.inf)
+    iterations = np.zeros(starts, dtype=np.int64)
     active = np.arange(starts)
-    for _ in range(max_iter):
+    block_iterations = 0
+    for _ in range(min(BLOCK_ITERS, max_iter)):
         if active.size == 0:
             break
+        block_iterations += 1
         Xa = X[active]
-        Xa, _ = _block_min_eig(rf, Xa)
-        Xa, v = _block_min_eig(rf, Xa)
+        Xa, _, _ = _block_min_eig(rf, Xa)
+        Xa, v, _ = _block_min_eig(rf, Xa)
         X[active] = Xa
+        iterations[active] += 1
         decrease = vals[active] - v
         vals[active] = v
         active = active[(decrease > tol) & (v > 1e-18)]
-    # report the definitional quantity at each final direction
+    stopped = np.ones(starts, dtype=bool)
+    stopped[active] = False
+    # every start still active has run block_iterations and has this left
+    budget = max_iter - block_iterations
+    polished = active if budget > 0 else active[:0]
+    polish_iterations = 0
+    if polished.size:
+        target = float(np.min(vals[stopped], initial=np.inf))
+        X[polished], used, stopped[polished] = _polish(rf, X[polished], budget, target)
+        iterations[polished] += used
+        polish_iterations = int(used.max())
     finals = np.linalg.eigvalsh(r_matrices(rf, X))[:, 1]
     best = int(np.argmin(finals))
-    a0 = float(max(finals[best], 0.0))
-    witness = X[best] / np.linalg.norm(X[best])
-    return a0, witness
+    diagnostics = SearchDiagnostics(
+        starts=starts,
+        block_converged=starts - active.size,
+        polished=int(polished.size),
+        hit_budget=int(np.count_nonzero(~stopped)),
+        block_iterations=block_iterations,
+        polish_iterations=polish_iterations,
+        best_iterations=int(iterations[best]),
+        best_hit_budget=bool(not stopped[best]),
+    )
+    return MarginEstimate(float(max(finals[best], 0.0)), X[best] / np.linalg.norm(X[best]),
+                          diagnostics)
 
 
 def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
@@ -401,16 +640,23 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
        nonzero vector already determines |x|, so the gate does not apply.)
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
-    3. Estimate the margin with ``estimate_a0`` at its default iteration
-       cap.  Above TAU_PR the verdict is Retrievable after the separation
-       inequality survives CROSS_CHECK_PAIRS random pairs,
+    3. Estimate the margin with ``estimate_a0`` at its default budget
+       MAX_ITER.  Above TAU_PR the verdict is Retrievable after the
+       separation inequality survives CROSS_CHECK_PAIRS random pairs,
        drawn from a generator seeded with ``seed`` and checked in one
        batch by ``separation_sides``; a violation downgrades the margin to
        the worst ratio of the two sides over the pairs whose right factor
        exceeds 1e-12, and the verdict is re-decided.  Below TAU_NPR the
-       verdict is NotRetrievable only when rank_kernel_check verifies a
-       kernel of dimension >= 2 at the witness; a tiny margin alone is
+       witness is first polished further with what is left of its start's
+       budget, and the margin becomes the second eigenvalue there.  The
+       verdict is then NotRetrievable only when that eigenvalue is zero to
+       rounding, at most 2n eps times the largest eigenvalue of R at the
+       witness, which leaves rank_kernel_check a kernel of dimension >= 2;
+       a small margin that double precision cannot tell from zero is
        never enough.  Everything else is Inconclusive.
+
+    The report carries the search's ``diagnostics``, including the
+    iterations of that witness polish.
     """
     if fr.n >= 2 and fr.m < 2 * fr.n:
         return CertificationReport(
@@ -423,7 +669,20 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
             kernel_excess=None, method="not-a-frame",
         )
     rf = RealifiedFrame.from_frame(fr)
-    a0, witness = estimate_a0(rf, starts=starts, tol=tol, seed=seed)
+    estimate = estimate_a0(rf, starts=starts, tol=tol, seed=seed)
+    a0, witness = estimate
+    diagnostics = estimate.diagnostics
+    resolved = False
+    if a0 < TAU_NPR:
+        # polish the witness with what is left of its start's budget, then
+        # ask whether its second eigenvalue is zero to rounding
+        xi, used, stopped = _polish(rf, witness[None, :], MAX_ITER - diagnostics.best_iterations)
+        diagnostics = replace(diagnostics, witness_polish_iterations=int(used[0]),
+                              best_hit_budget=diagnostics.best_hit_budget or not stopped[0])
+        witness = xi[0] / np.linalg.norm(xi[0])
+        spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
+        a0 = float(max(spectrum[1], 0.0))
+        resolved = spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
     kernel_info = rank_kernel_check(rf, witness)
     kernel_excess = witness if kernel_info.kernel_dim >= 2 else None
 
@@ -436,14 +695,14 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
         if violated and worst_ratio < a0:
             a0 = worst_ratio
         verdict = VERDICT_RETRIEVABLE if a0 > TAU_PR else VERDICT_INCONCLUSIVE
-    elif a0 < TAU_NPR and kernel_excess is not None:
+    elif resolved and kernel_excess is not None:
         verdict = VERDICT_NOT_RETRIEVABLE
     else:
         verdict = VERDICT_INCONCLUSIVE
 
     return CertificationReport(
         verdict=verdict, a0=a0, witness_xi=witness, kernel_excess=kernel_excess,
-        method="eigen",
+        method="eigen", diagnostics=diagnostics,
     )
 
 

@@ -18,7 +18,7 @@ All functions are pure and share no mutable state, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "COND_CAP",
     "ComplexFrame",
     "RealifiedFrame",
-    "SymOuter",
     "FrameOperatorSummary",
     "j_matrix",
     "realify",
@@ -42,8 +41,6 @@ __all__ = [
     "r_matrices",
     "r_matrix",
     "l_matrix",
-    "sym_outer",
-    "nuclear_norm_rank2",
     "frame_bounds",
     "gram_squared",
     "transform_frame",
@@ -260,39 +257,6 @@ def l_matrix(rf: RealifiedFrame, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     JX = X @ rf.J.T
     return r_matrices(rf, X) + JX[..., :, None] * JX[..., None, :]
-
-
-@dataclass(frozen=True)
-class SymOuter:
-    """Symmetrized outer product (u v* + v u*) / 2 of two vectors, a
-    Hermitian (real symmetric when u, v are real) matrix of rank at most 2
-    with at most one positive and one negative eigenvalue."""
-
-    u: np.ndarray
-    v: np.ndarray
-    matrix: np.ndarray
-
-
-def sym_outer(u: np.ndarray, v: np.ndarray) -> SymOuter:
-    """Build the symmetrized outer product of u and v."""
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if u.size != v.size:
-        raise ValueError(f"u and v must share a length, got {u.size} and {v.size}")
-    mat = (np.outer(u, v.conj()) + np.outer(v, u.conj())) / 2.0
-    for arr in (u, v, mat):
-        arr.setflags(write=False)
-    return SymOuter(u=u, v=v, matrix=mat)
-
-
-def nuclear_norm_rank2(t: SymOuter) -> float:
-    """Nuclear norm (sum of absolute eigenvalues) of a symmetrized outer
-    product, computed by Hermitian eigendecomposition.
-
-    Never exceeds sqrt(2) * ||u|| * ||v||.
-    """
-    w = np.linalg.eigvalsh(t.matrix)
-    return float(np.sum(np.abs(w)))
 
 
 @dataclass(frozen=True)

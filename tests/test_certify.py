@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from framecert import (
     certify_complex,
     certify_real,
     complement_property,
-    eigenvalue_2n_minus_1,
     estimate_a0,
     hmw_lower_bound,
     injectivity_sampling_oracle,
@@ -30,9 +31,11 @@ from framecert import (
     rank_by_svd,
     rank_kernel_check,
     random_frame,
+    r_matrices,
     realify,
     transform_frame,
     trivial_non_retrievable,
+    unrealify,
 )
 
 
@@ -40,13 +43,81 @@ def bh(n, variant="two_pi"):
     return bodmann_hammen(BodmannHammenParams(n=n, angle_variant=variant))
 
 
+def eigenvalue_2n_minus_1(M):
+    """The (2n-1)-th largest of the 2n eigenvalues of a symmetric matrix,
+    i.e. its second-smallest: the quantity whose minimum is the margin."""
+    return float(np.sort(np.linalg.eigvalsh(M))[::-1][M.shape[0] - 2])
+
+
 def test_eigenvalue_2n_minus_1_picks_second_smallest():
     M = np.diag([5.0, -1.0, 3.0, 0.5])
     assert eigenvalue_2n_minus_1(M) == 0.5
-    with pytest.raises(FramecertError, match="matrix is not symmetric within tolerance"):
-        eigenvalue_2n_minus_1(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigenvalue_2n_minus_1(np.zeros((3, 3)))
+    # the reported margin is that eigenvalue of R at the (unit) witness
+    for fr in (bh(2), bh(3), random_frame(3, 10, seed=4)):
+        rf = RealifiedFrame.from_frame(fr)
+        a0, witness = estimate_a0(rf, starts=8)
+        assert a0 == pytest.approx(eigenvalue_2n_minus_1(r_matrix(rf, witness)), rel=1e-12)
+
+
+def block_descent_oracle(rf, starts, max_iter=2000, tol=1e-10, seed=42):
+    """The margin search before the L-BFGS phase: batched block descent
+    from the same starts for up to max_iter iterations, then the smallest
+    second eigenvalue over the final directions."""
+    X = np.stack([certify_module._start_direction(seed + i, rf.two_n) for i in range(starts)])
+    vals = np.full(starts, np.inf)
+    active = np.arange(starts)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        Xa, _, _ = certify_module._block_min_eig(rf, X[active])
+        Xa, v, _ = certify_module._block_min_eig(rf, Xa)
+        X[active] = Xa
+        decrease = vals[active] - v
+        vals[active] = v
+        active = active[(decrease > tol) & (v > 1e-18)]
+    return float(max(np.linalg.eigvalsh(r_matrices(rf, X))[:, 1].min(), 0.0))
+
+
+ORACLE_FRAMES = {f"bh{n}": (n, None) for n in (2, 3, 4, 5)}
+ORACLE_FRAMES.update({f"random{n}-seed{s}": (n, s) for n in (3, 4, 5, 6) for s in (1, 2)})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+def test_estimate_a0_is_no_higher_than_the_block_descent_oracle(name):
+    n, seed = ORACLE_FRAMES[name]
+    fr = bh(n) if seed is None else random_frame(n, 4 * n - 2, seed=seed)
+    rf = RealifiedFrame.from_frame(fr)
+    assert estimate_a0(rf, starts=8)[0] <= block_descent_oracle(rf, 8) * (1.0 + 1e-9)
+
+
+def test_max_iter_is_the_budget_over_both_phases():
+    rf = RealifiedFrame.from_frame(bh(6))
+    for max_iter in (40, 100, 160):
+        d = estimate_a0(rf, starts=2, max_iter=max_iter).diagnostics
+        assert d.block_iterations == min(max_iter, certify_module.BLOCK_ITERS)
+        assert d.block_iterations + d.polish_iterations <= max_iter
+        assert d.best_iterations <= max_iter
+    short = estimate_a0(rf, starts=2, max_iter=40).diagnostics
+    assert (short.polished, short.polish_iterations, short.hit_budget) == (0, 0, 2)
+    assert short.best_hit_budget
+
+
+def test_search_diagnostics_count_every_start():
+    for fr in (bh(2), bh(5), trivial_non_retrievable(3, 8)):
+        estimate = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
+        d = estimate.diagnostics
+        assert d.starts == 16
+        assert d.block_converged + d.polished == 16
+        assert 0 <= d.hit_budget <= d.polished
+        assert d.block_iterations <= certify_module.BLOCK_ITERS
+        assert d.best_iterations <= d.block_iterations + d.polish_iterations
+        again = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
+        assert again.diagnostics == d and again[0] == estimate[0]
+        copied = pickle.loads(pickle.dumps(estimate))
+        assert copied.diagnostics == d and copied[0] == estimate[0]
+    # BH n=2 converges in the block descent; BH n=5 needs the L-BFGS phase
+    assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.polished == 0
+    assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polished > 0
 
 
 def test_estimate_a0_single_vector_in_c1():
@@ -177,8 +248,9 @@ def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
     real_estimate = certify_module.estimate_a0
 
     def optimistic(*args, **kwargs):
-        a0, witness = real_estimate(*args, **kwargs)
-        return 10.0 * a0, witness
+        estimate = real_estimate(*args, **kwargs)
+        return certify_module.MarginEstimate(10.0 * estimate.a0, estimate.witness,
+                                             estimate.diagnostics)
 
     monkeypatch.setattr(certify_module, "estimate_a0", optimistic)
     seed = 5
@@ -261,6 +333,45 @@ def test_certify_real_frame_treated_over_c_is_not_retrievable():
     assert rep.a0 < TAU_NPR
 
 
+def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
+    # the margin search finds xi with lambda_2(R(xi)) below TAU_PR, and the
+    # pair xi +- eps w, w the eigenvector of lambda_2, has separation ratio
+    # lambda_2 for every eps: it violates the inequality at TAU_PR
+    fr = bh(5)
+    rep = certify_complex(fr, starts=64)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert TAU_NPR < rep.a0 < TAU_PR
+    rf = RealifiedFrame.from_frame(fr)
+    xi = rep.witness_xi
+    vals, vecs = np.linalg.eigh(r_matrix(rf, xi))
+    w = vecs[:, 1]
+    x, y = unrealify(xi + 0.1 * w), unrealify(xi - 0.1 * w)
+    left, factor = certify_module.separation_sides(fr, x[None, :], y[None, :])
+    assert left[0] / factor[0] == pytest.approx(vals[1], rel=1e-6)
+    assert not certify_module._separation_holds(left, factor, TAU_PR)[0]
+
+
+def test_an_unresolved_margin_is_not_declared_not_retrievable():
+    # BH n=4 with the verbatim angles falls below TAU_NPR at 64 starts with
+    # a two-dimensional kernel at RANK_RTOL, but lambda_2 / lambda_max stays
+    # far above 2n eps after the witness polish
+    fr = bh(4, "verbatim")
+    rep = certify_complex(fr, starts=64)
+    assert rep.a0 < TAU_NPR
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), rep.witness_xi))
+    assert spectrum[1] > 2 * fr.n * np.finfo(float).eps * spectrum[-1]
+
+
+def test_random_frame_below_the_cardinality_bound_is_not_retrievable():
+    # seven vectors in C^3: the witness's second eigenvalue is zero to rounding
+    fr = random_frame(3, 7, seed=0)
+    rep = certify_complex(fr, starts=64)
+    assert rep.verdict == VERDICT_NOT_RETRIEVABLE
+    spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), rep.kernel_excess))
+    assert spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
+
+
 def test_verdict_invariant_under_equivalence_transforms():
     rng = np.random.default_rng(24)
     for fr, expected in ((bh(2), VERDICT_RETRIEVABLE),
@@ -282,6 +393,8 @@ def test_report_to_dict_is_json_ready():
     json.dumps(doc)
     assert doc["verdict"] == VERDICT_RETRIEVABLE
     assert len(doc["witness_xi"]) == 4
+    assert doc["diagnostics"] == rep.diagnostics.to_dict()
+    assert doc["diagnostics"]["starts"] == 8
 
 
 def test_complement_property_reference_family():

@@ -54,6 +54,20 @@ def test_certify_complex_frame_routes_to_eigen(frames, capsys):
     assert doc["report"]["a0"] > 1e-6
 
 
+def test_certify_json_carries_the_search_diagnostics(frames, capsys):
+    _, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    diag = doc["report"]["diagnostics"]
+    assert set(diag) == {"starts", "block_converged", "polished", "hit_budget",
+                         "block_iterations", "polish_iterations", "best_iterations",
+                         "best_hit_budget", "witness_polish_iterations"}
+    assert diag["starts"] == 16
+    assert diag["block_converged"] + diag["polished"] == 16
+    _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    assert again == doc
+    _, real = run_json(capsys, ["certify", "--frame", frames["r3"]])
+    assert real["report"]["diagnostics"] is None
+
+
 def test_certify_exit_codes_by_verdict(frames, capsys, tmp_path):
     code, _ = run_json(capsys, ["certify", "--frame", frames["triv"], "--starts", "8"])
     assert code == 1

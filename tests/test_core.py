@@ -16,13 +16,12 @@ from framecert import (
     gram_squared,
     j_matrix,
     l_matrix,
-    nuclear_norm_rank2,
     parseval_version,
     r_matrix,
     rank_by_svd,
+    separation_sides,
     realify,
     r3_example,
-    sym_outer,
     transform_frame,
     trivial_non_retrievable,
     unrealify,
@@ -191,17 +190,28 @@ def test_l_matrix_takes_a_stack_of_directions():
                                        rtol=1e-12, atol=1e-14)
 
 
+def sym_outer(u, v):
+    """The symmetrized outer product (u v* + v u*) / 2, a Hermitian matrix
+    of rank at most 2."""
+    return (np.outer(u, v.conj()) + np.outer(v, u.conj())) / 2.0
+
+
+def nuclear_norm(matrix):
+    """Sum of the absolute eigenvalues of a Hermitian matrix."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
+
+
 def test_sym_outer_eigenvalue_signature_and_nuclear_norm():
     rng = np.random.default_rng(12)
     for _ in range(30):
         u = random_complex(rng, 4)
         v = random_complex(rng, 4)
         t = sym_outer(u, v)
-        w = np.linalg.eigvalsh(t.matrix)
+        w = np.linalg.eigvalsh(t)
         # rank <= 2 with at most one eigenvalue of each sign
         assert np.sum(np.abs(w) > 1e-10) <= 2
         assert np.sum(w > 1e-10) <= 1
-        nu = nuclear_norm_rank2(t)
+        nu = nuclear_norm(t)
         inner = np.sum(u * v.conj())
         closed = np.sqrt(
             np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2 - inner.imag**2
@@ -212,23 +222,22 @@ def test_sym_outer_eigenvalue_signature_and_nuclear_norm():
 
 def test_sym_outer_of_difference_and_sum_represents_outer_gap():
     # x x* - y y* equals sym_outer(x - y, x + y); its squared nuclear norm
-    # is ||x-y||^2 ||x+y||^2 - 4 Im(<x, y>)^2
+    # is ||x-y||^2 ||x+y||^2 - 4 Im(<x, y>)^2, the right factor of the
+    # separation inequality
     rng = np.random.default_rng(13)
+    fr = ComplexFrame.from_vectors(np.eye(3))
     for _ in range(20):
         x = random_complex(rng, 3)
         y = random_complex(rng, 3)
         gap = np.outer(x, x.conj()) - np.outer(y, y.conj())
         t = sym_outer(x - y, x + y)
-        np.testing.assert_allclose(t.matrix, gap, atol=1e-12)
+        np.testing.assert_allclose(t, gap, atol=1e-12)
         inner = np.sum(x * y.conj())
         closed = (np.linalg.norm(x - y) ** 2 * np.linalg.norm(x + y) ** 2
                   - 4.0 * inner.imag**2)
-        assert abs(nuclear_norm_rank2(t) ** 2 - closed) < 1e-9 * (1.0 + abs(closed))
-
-
-def test_sym_outer_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        sym_outer(np.ones(2), np.ones(3))
+        assert abs(nuclear_norm(t) ** 2 - closed) < 1e-9 * (1.0 + abs(closed))
+        _, factor = separation_sides(fr, x[None, :], y[None, :])
+        assert abs(nuclear_norm(t) ** 2 - factor[0]) < 1e-9 * (1.0 + abs(closed))
 
 
 def test_frame_bounds_on_reference_families():

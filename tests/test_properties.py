@@ -1,6 +1,6 @@
 """Property tests for the batched realified kernel, the batched separation
-check, the cached start directions of the margin descent and the
-hyperplane test of the complement property."""
+check, the cached start directions and the L-BFGS phase of the margin
+search, and the hyperplane test of the complement property."""
 
 from __future__ import annotations
 
@@ -179,3 +179,21 @@ def test_complement_verdict_survives_permutation_scaling_and_transforms(V, seed)
     Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
     T = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q2
     assert decide(V @ T.T) == holds
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), extra=st.integers(min_value=0, max_value=8),
+       rows=st.integers(min_value=1, max_value=4), budget=st.integers(min_value=0, max_value=40),
+       seed=SEEDS)
+def test_polish_never_raises_lambda_2(n, extra, rows, budget, seed):
+    rng = np.random.default_rng(seed)
+    rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(complex_gaussian(rng, 2 * n + extra, n)))
+    X = rng.standard_normal((rows, 2 * n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    out, used, _ = certify_module._polish(rf, X, budget)
+    before = np.linalg.eigvalsh(r_matrices(rf, X))
+    after = np.linalg.eigvalsh(r_matrices(rf, out))
+    slack = 1e-12 * np.trace(r_matrices(rf, X), axis1=1, axis2=2)
+    assert np.all(after[:, 1] <= before[:, 1] + slack)
+    assert np.all(used <= budget)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-12)
