@@ -69,6 +69,7 @@ __all__ = [
     "VERDICT_NOT_RETRIEVABLE",
     "VERDICT_INCONCLUSIVE",
     "BLOCK_ITERS",
+    "BLOCK_RTOL",
     "MAX_ITER",
     "SearchDiagnostics",
     "MarginEstimate",
@@ -101,8 +102,10 @@ KERNEL_ANGLE_TOL = 1e-6
 COMPLEMENT_MAX_CANDIDATES = 20_000
 
 # Phase 1 of ``estimate_a0``: batched block-descent iterations before the
-# starts still descending switch to Riemannian L-BFGS.
+# starts still descending switch to Riemannian L-BFGS, and the decrease per
+# iteration, relative to trace R(xi), below which a start stops there.
 BLOCK_ITERS = 100
+BLOCK_RTOL = 1e-12
 
 # Phase 2: L-BFGS memory, Armijo sufficient-decrease constant, halvings
 # tried before a line search gives up, the stopping rule on the Riemannian
@@ -248,8 +251,10 @@ class ComplementResult:
 @dataclass(frozen=True)
 class CardinalityBounds:
     """Cardinality landscape for phase retrieval in C^n: the parity-corrected
-    topological lower bound, the trivial 2n bound, the conjectured critical
-    count 4n-4, and the generic sufficient count 4n-2."""
+    topological lower bound, the trivial 2n bound, the count 4n-4 from which
+    generic vectors are injective (Conca-Edidin-Hering-Vinzant 2015; the
+    field keeps its JSON key), and the generic sufficient count 4n-2.
+    4n-4 is no lower bound: Vinzant (2015) gives 11 injective vectors in C^4."""
 
     n: int
     hmw_lower: int
@@ -258,13 +263,7 @@ class CardinalityBounds:
     generic_upper: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hmw_lower": self.hmw_lower,
-            "two_n": self.two_n,
-            "conjectured_critical": self.conjectured_critical,
-            "generic_upper": self.generic_upper,
-        }
+        return asdict(self)
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
@@ -276,17 +275,18 @@ def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
     f(xi) = lambda_2(R(xi)) in the L-BFGS phase.
 
     For each row xi of X, form R = r_matrix at xi, deflate the phase
-    direction J xi upward, and return the eigenvector of the smallest
-    remaining eigenvalue together with that eigenvalue and trace R.  The
-    eigenvector is the exact minimizer of w^T R w over unit w orthogonal to
-    J xi, which is the second-smallest eigenvalue of R because J xi is
-    always in the kernel.
+    direction J xi upward by 2 trace R, and return the eigenvector of the
+    smallest remaining eigenvalue together with that eigenvalue and trace
+    R.  The eigenvector is the exact minimizer of w^T R w over unit w
+    orthogonal to J xi, which is the second-smallest eigenvalue of R
+    because J xi is always in the kernel.
     """
     R = r_matrices(rf, X)
     U = _unit_rows(X @ rf.J.T)
     trace = np.trace(R, axis1=1, axis2=2)
-    # trace + 1 strictly dominates the largest eigenvalue of a PSD matrix
-    R_def = R + (trace + 1.0)[:, None, None] * U[:, :, None] * U[:, None, :]
+    # 2 trace dominates the largest eigenvalue of a nonzero PSD matrix and,
+    # unlike an absolute shift, keeps eigh's resolution relative to R
+    R_def = R + (2.0 * trace)[:, None, None] * U[:, :, None] * U[:, None, :]
     vals, vecs = np.linalg.eigh(R_def)
     return vecs[:, :, 0], vals[:, 0], trace
 
@@ -451,7 +451,7 @@ def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.i
 
 
 def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
-                tol: float = 1e-10, seed: int = 42) -> MarginEstimate:
+                seed: int = 42) -> MarginEstimate:
     """Estimate the spectral injectivity margin a0 and return it with the
     unit direction achieving it.
 
@@ -466,8 +466,7 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
        sum_k <Phi_k xi, w>^2, a quartic symmetric in xi and w; each half
        step minimizes one block exactly through a constrained eigenvector
        computation, so the objective is nonincreasing.  A start stops when
-       its decrease per iteration falls below tol or its value reaches the
-       floor of double precision.
+       its decrease per iteration is at most BLOCK_RTOL times trace R(xi).
     2. The starts still descending after phase 1 finish with a batched
        Riemannian L-BFGS on f(xi) = lambda_2(R(xi)) over the unit sphere
        (``_polish``), for the rest of their budget.  Block descent stalls
@@ -479,14 +478,14 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     but never proves, that the frame is not retrievable; see
     ``certify_complex`` for the verification step.  The result unpacks as
     the pair (a0, witness) and carries the convergence counts as
-    ``diagnostics``.
+    ``diagnostics``.  Every stopping rule is relative to trace R(xi), so
+    the frame scaled by a power of two c gives exactly c^4 a0, the same
+    witness and equal diagnostics.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     two_n = rf.two_n
     X = np.stack([_start_direction(seed + i, two_n) for i in range(starts)])
     vals = np.full(starts, np.inf)
@@ -499,12 +498,12 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
         block_iterations += 1
         Xa = X[active]
         Xa, _, _ = _block_min_eig(rf, Xa)
-        Xa, v, _ = _block_min_eig(rf, Xa)
+        Xa, v, trace = _block_min_eig(rf, Xa)
         X[active] = Xa
         iterations[active] += 1
         decrease = vals[active] - v
         vals[active] = v
-        active = active[(decrease > tol) & (v > 1e-18)]
+        active = active[decrease > BLOCK_RTOL * trace]
     stopped = np.ones(starts, dtype=bool)
     stopped[active] = False
     # every start still active has run block_iterations and has this left
@@ -629,7 +628,7 @@ def _random_pairs(rng: np.random.Generator, pairs: int,
     return Z[:, 0], Z[:, 1]
 
 
-def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
+def certify_complex(fr: ComplexFrame, starts: int = 64,
                     seed: int = 42) -> CertificationReport:
     """Full certification pipeline for a frame treated over C.
 
@@ -656,7 +655,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
        never enough.  Everything else is Inconclusive.
 
     The report carries the search's ``diagnostics``, including the
-    iterations of that witness polish.
+    iterations of that witness polish.  The margin search is scale
+    equivariant, but TAU_PR, TAU_NPR and the cross-check slack are
+    absolute, so rescaling a frame can move its margin across one.
     """
     if fr.n >= 2 and fr.m < 2 * fr.n:
         return CertificationReport(
@@ -669,7 +670,7 @@ def certify_complex(fr: ComplexFrame, starts: int = 64, tol: float = 1e-10,
             kernel_excess=None, method="not-a-frame",
         )
     rf = RealifiedFrame.from_frame(fr)
-    estimate = estimate_a0(rf, starts=starts, tol=tol, seed=seed)
+    estimate = estimate_a0(rf, starts=starts, seed=seed)
     a0, witness = estimate
     diagnostics = estimate.diagnostics
     resolved = False
@@ -787,6 +788,8 @@ def hmw_lower_bound(n: int) -> CardinalityBounds:
     The lower bound is 4n - 2 - 2b plus a parity correction, where b is the
     number of ones in the binary expansion of n - 1: add 2 when n is odd
     and b = 3 mod 4, add 1 when n is odd and b = 2 mod 4, else add 0.
+    4n-4 generic vectors are injective (Conca-Edidin-Hering-Vinzant 2015),
+    and 11 vectors in C^4, one fewer, can be (Vinzant 2015).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -835,8 +838,10 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 1000,
     conditions are re-verified in plain scalar arithmetic before the pair
     is returned.  Returns None when no trial produces one.
 
-    Finding nothing is evidence, not proof, of injectivity; a returned pair
-    is a certified non-injectivity witness.
+    Finding nothing is evidence, not proof, of injectivity.  Nor does a
+    returned pair prove a0 = 0: ORACLE_MATCH_TOL bounds the left side of
+    the separation inequality by 1e-16 and ORACLE_RAY_TOL puts the right
+    factor at about 4e-8 for unit x, so it proves only a0 <= about 2.5e-9.
     """
     from scipy.optimize import minimize
 

@@ -50,7 +50,6 @@ __all__ = ["RunConfig", "build_parser", "main"]
 
 DEFAULT_SEED = 42
 DEFAULT_STARTS = 64
-DEFAULT_TOL = 1e-10
 DEFAULT_TRIALS = 100
 DEFAULT_RADIUS_FRACTION = 0.99
 SEED_ENV_VAR = "FRAME_CERTIFY_SEED"
@@ -70,7 +69,6 @@ class RunConfig:
 
     seed: int = DEFAULT_SEED
     starts: int = DEFAULT_STARTS
-    tol: float = DEFAULT_TOL
     trials: int = DEFAULT_TRIALS
     radius_fraction: float = DEFAULT_RADIUS_FRACTION
     output_format: str = "json"
@@ -79,8 +77,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not (np.isfinite(self.radius_fraction) and self.radius_fraction > 0.0):
@@ -111,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver(p):
         p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     def add_output(p):
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -177,7 +172,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=_resolve_seed(args),
         starts=getattr(args, "starts", DEFAULT_STARTS),
-        tol=getattr(args, "tol", DEFAULT_TOL),
         trials=getattr(args, "trials", DEFAULT_TRIALS),
         radius_fraction=getattr(args, "radius_fraction", DEFAULT_RADIUS_FRACTION),
         output_format=getattr(args, "format", "json"),
@@ -208,14 +202,14 @@ def _cmd_certify(args: argparse.Namespace, config: RunConfig) -> int:
     if method == "complement":
         report = certify_real(fr)
     else:
-        report = certify_complex(fr, starts=config.starts, tol=config.tol, seed=config.seed)
+        report = certify_complex(fr, starts=config.starts, seed=config.seed)
     _emit(_wrap(config, report.to_dict()), args.output)
     return VERDICT_EXIT[report.verdict]
 
 
 def _cmd_rho(args: argparse.Namespace, config: RunConfig) -> int:
     fr = load_frame(args.frame)
-    report = certify_complex(fr, starts=config.starts, tol=config.tol, seed=config.seed)
+    report = certify_complex(fr, starts=config.starts, seed=config.seed)
     if report.verdict != VERDICT_RETRIEVABLE:
         _emit(_wrap(config, {"certification": report.to_dict(), "stability_radius": None}),
               args.output)
@@ -247,7 +241,7 @@ def _cmd_experiment(args: argparse.Namespace, config: RunConfig) -> int:
     if args.kind == "perturb":
         report = stability_experiment(
             fr, trials=config.trials, radius_fraction=config.radius_fraction,
-            seed=config.seed, starts=config.starts, tol=config.tol,
+            seed=config.seed, starts=config.starts,
         )
         if config.output_format == "csv":
             _emit(report.to_csv(), args.output)

@@ -10,7 +10,7 @@ on, sample by sample.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "stability_radius",
     "spanning_safe_radius",
     "perturb_frame",
+    "max_displacement",
     "stability_experiment",
     "l_matrix_gap_audit",
     "EXPERIMENT_DISCLAIMER",
@@ -54,8 +55,7 @@ class StabilityRadius:
     m: int
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "B": self.B, "a0": self.a0,
-                "a1": self.a1, "m": self.m}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def max_displacement(fr: ComplexFrame, fr2: ComplexFrame) -> float:
 
 def stability_experiment(fr: ComplexFrame, trials: int = 100,
                          radius_fraction: float = 0.99, seed: int = 42,
-                         starts: int = 64, tol: float = 1e-10) -> StabilityExperimentReport:
+                         starts: int = 64) -> StabilityExperimentReport:
     """Certify ``trials`` random perturbations of a retrievable frame, each
     inside radius_fraction of its guaranteed radius.
 
@@ -232,7 +232,7 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
         raise ValueError(
             f"radius_fraction must be positive and finite, got {radius_fraction}"
         )
-    base = certify_complex(fr, starts=starts, tol=tol, seed=seed)
+    base = certify_complex(fr, starts=starts, seed=seed)
     if base.verdict != VERDICT_RETRIEVABLE or base.a0 is None:
         raise NotRetrievableInput(
             f"base frame must certify Retrievable, got {base.verdict}"
@@ -248,7 +248,7 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
         delta = max_displacement(fr, fr2)
         b_prime = frame_bounds(fr2).B
         b_prime_max = max(b_prime_max, b_prime)
-        rep = certify_complex(fr2, starts=starts, tol=tol, seed=trial_seed)
+        rep = certify_complex(fr2, starts=starts, seed=trial_seed)
         if rep.verdict != VERDICT_RETRIEVABLE:
             failures += 1
         rows.append(PerturbationTrial(

@@ -141,16 +141,6 @@ def test_estimate_a0_is_seed_stable_on_certified_frame():
     assert max(values) - min(values) < 1e-8 * max(values)
 
 
-def test_estimate_a0_scale_equivariance():
-    # the margin is quartic in the overall frame scale
-    vecs = bh(2).vectors
-    base, _ = estimate_a0(RealifiedFrame.from_frame(
-        ComplexFrame.from_vectors(vecs)), starts=16)
-    scaled, _ = estimate_a0(RealifiedFrame.from_frame(
-        ComplexFrame.from_vectors(1.7 * vecs)), starts=16)
-    assert abs(scaled - 1.7**4 * base) < 1e-6 * scaled
-
-
 def test_estimate_a0_vanishes_on_non_retrievable_frame():
     rf = RealifiedFrame.from_frame(trivial_non_retrievable(2, 4))
     a0, witness = estimate_a0(rf, starts=16)
@@ -176,8 +166,6 @@ def test_estimate_a0_parameter_validation():
     rf = RealifiedFrame.from_frame(bh(2))
     with pytest.raises(ValueError):
         estimate_a0(rf, starts=0)
-    with pytest.raises(ValueError):
-        estimate_a0(rf, tol=0.0)
     with pytest.raises(ValueError):
         estimate_a0(rf, max_iter=0)
 

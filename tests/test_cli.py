@@ -282,24 +282,24 @@ def test_report_survives_serialization_round_trip(tmp_path, capsys):
 
 
 def test_config_envelope_records_the_solver_settings(frames, capsys):
-    argv_tail = ["--starts", "8", "--tol", "1e-9", "--seed", "3"]
+    argv_tail = ["--starts", "8", "--seed", "3"]
     for argv in (["certify", "--frame", frames["bh2"]],
                  ["certify", "--frame", frames["r3"]],
                  ["rho", "--frame", frames["bh2"]]):
         _, doc = run_json(capsys, argv + argv_tail)
-        assert (doc["config"]["seed"], doc["config"]["starts"], doc["config"]["tol"]) == (3, 8, 1e-9)
+        assert (doc["config"]["seed"], doc["config"]["starts"]) == (3, 8)
+        assert "tol" not in doc["config"]
         report = doc["report"].get("certification", doc["report"])
         assert not {"seed", "starts", "tol"} & set(report)
+    # the margin search stops relative to trace R(xi); there is no tolerance to set
+    assert main(["certify", "--frame", frames["bh2"], "--tol", "1e-9"]) == 64
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_settings_are_usage_errors(frames, capsys, bad):
     with pytest.raises(ValueError, match="finite"):
-        RunConfig(tol=float(bad))
-    with pytest.raises(ValueError, match="finite"):
         RunConfig(radius_fraction=float(bad))
-    assert main(["certify", "--frame", frames["bh2"], "--starts", "8", "--tol", bad]) == 64
-    assert "tol must be positive and finite" in capsys.readouterr().err
     assert main(["experiment", "perturb", "--frame", frames["bh2"], "--trials", "1",
                  "--starts", "8", "--radius-fraction", bad]) == 64
     assert "radius_fraction must be positive and finite" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Property tests for the batched realified kernel, the batched separation
-check, the cached start directions and the L-BFGS phase of the margin
-search, and the hyperplane test of the complement property."""
+check, the cached start directions, the L-BFGS phase and the scale
+equivariance of the margin search, and the hyperplane test of the
+complement property."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from framecert import (
     magnitude_separation_check,
     r_matrices,
     r_matrix,
+    random_frame,
     rank_by_svd,
     separation_sides,
 )
@@ -113,6 +115,29 @@ def test_estimate_a0_is_the_same_on_cold_and_warm_start_cache(n, starts, seed, f
         cached = certify_module._start_direction(seed + i, 2 * n)
         np.testing.assert_array_equal(cached, v / np.linalg.norm(v))
         assert not cached.flags.writeable
+
+
+@st.composite
+def near_critical_frames(draw):
+    """Random frames in C^n, n = 2..4, with 3n-1 <= m <= 4n-2 vectors."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = draw(st.integers(min_value=3 * n - 1, max_value=4 * n - 2))
+    return random_frame(n, m, seed=draw(SEEDS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fr=near_critical_frames(), k=st.integers(min_value=-8, max_value=8),
+       starts=st.integers(min_value=4, max_value=8))
+def test_estimate_a0_scale_equivariance(fr, k, starts):
+    # scaling by c = 2^k is exact in floating point and multiplies R(xi) by
+    # c^4, so every stopping rule of the search must follow it
+    c = 2.0 ** k
+    base = estimate_a0(RealifiedFrame.from_frame(fr), starts=starts)
+    scaled = estimate_a0(RealifiedFrame.from_frame(ComplexFrame.from_vectors(c * fr.vectors)),
+                         starts=starts)
+    assert scaled[0] == c ** 4 * base[0]
+    np.testing.assert_array_equal(scaled[1], base[1])
+    assert scaled.diagnostics == base.diagnostics
 
 
 def exhaustive_complement_holds(V: np.ndarray) -> bool:

@@ -305,8 +305,6 @@ def test_non_finite_settings_are_rejected(bad):
         perturb_frame(bh2(), bad)
     with pytest.raises(ValueError, match="finite"):
         stability_experiment(bh2(), trials=1, radius_fraction=bad)
-    with pytest.raises(ValueError, match="finite"):
-        estimate_a0(RealifiedFrame.from_frame(bh2()), tol=bad)
 
 
 def test_gap_audit_matches_a_per_sample_loop():
