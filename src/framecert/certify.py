@@ -7,8 +7,10 @@ The central quantity is the spectral injectivity margin
 A frame in C^n is phase retrievable exactly when a0 > 0.  The margin is
 estimated from many starts in two phases (``estimate_a0``): at most
 BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
-L-BFGS on lambda_2(R(xi)) over the unit sphere for the starts still
-descending, all within a total budget of max_iter iterations per start.
+Newton method on lambda_2(R(xi)) over the unit sphere for the starts still
+descending, its gradient and Hessian built from the eigenpairs of the one
+eigh each step already makes, all within a total budget of max_iter
+iterations per start.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
@@ -102,18 +104,19 @@ KERNEL_ANGLE_TOL = 1e-6
 COMPLEMENT_MAX_CANDIDATES = 20_000
 
 # Phase 1 of ``estimate_a0``: batched block-descent iterations before the
-# starts still descending switch to Riemannian L-BFGS, and the decrease per
-# iteration, relative to trace R(xi), below which a start stops there.
+# starts still descending switch to the Riemannian Newton method, and the
+# decrease per iteration, relative to trace R(xi), below which a start
+# stops there.
 BLOCK_ITERS = 100
 BLOCK_RTOL = 1e-12
 
-# Phase 2: L-BFGS memory, Armijo sufficient-decrease constant, halvings
-# tried before a line search gives up, the stopping rule on the Riemannian
+# Phase 2: the floor, relative to trace R(xi), on the eigenvalue gaps and
+# on the absolute Hessian eigenvalues of the Newton model, the Armijo
+# sufficient-decrease constant, the stopping rule on the Riemannian
 # gradient relative to trace R(xi), and the steps over which a run's rate
 # of decrease is measured to stop runs that cannot reach the best value.
-LBFGS_MEMORY = 8
+NEWTON_FLOOR = 1e-12
 ARMIJO_C1 = 1e-4
-MAX_BACKTRACKS = 10
 POLISH_GTOL = 1e-9
 STALL_WINDOW = 25
 
@@ -138,12 +141,12 @@ class SearchDiagnostics:
     """Convergence counts of one ``estimate_a0`` run.
 
     ``starts`` is the number of starts; ``block_converged`` of them stopped
-    in the block descent (phase 1), ``polished`` went on to the L-BFGS
+    in the block descent (phase 1), ``polished`` went on to the Newton
     phase, and ``hit_budget`` used all max_iter iterations without meeting
     a stopping rule.  ``block_iterations`` and ``polish_iterations`` count
-    the batched iterations of each phase, ``best_iterations`` the
-    iterations of the start that gave the margin, and ``best_hit_budget``
-    says whether that start used up the budget.
+    the batched iterations of each phase (a Newton step is one iteration),
+    ``best_iterations`` the iterations of the start that gave the margin,
+    and ``best_hit_budget`` says whether that start used up the budget.
     ``witness_polish_iterations`` counts the further polish that
     ``certify_complex`` gives a witness below TAU_NPR.  Counts only, so
     reruns give identical reports.
@@ -270,35 +273,29 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
-    """One block update of the alternating descent, and the evaluation of
-    f(xi) = lambda_2(R(xi)) in the L-BFGS phase.
+def _deflated_eigh(rf: RealifiedFrame, X: np.ndarray):
+    """Eigenpairs of R = r_matrix at each row xi of X with the phase
+    direction J xi deflated upward by 2 trace R, and trace R itself.
 
-    For each row xi of X, form R = r_matrix at xi, deflate the phase
-    direction J xi upward by 2 trace R, and return the eigenvector of the
-    smallest remaining eigenvalue together with that eigenvalue and trace
-    R.  The eigenvector is the exact minimizer of w^T R w over unit w
-    orthogonal to J xi, which is the second-smallest eigenvalue of R
-    because J xi is always in the kernel.
+    2 trace R dominates the largest eigenvalue of a nonzero PSD matrix and,
+    unlike an absolute shift, keeps eigh's resolution relative to R.  So
+    the first pair is lambda_2(R) with its eigenvector (J xi is always in
+    the kernel of R), the last is the phase direction, and the pairs
+    between are lambda_3 .. lambda_2n.
     """
     R = r_matrices(rf, X)
     U = _unit_rows(X @ rf.J.T)
     trace = np.trace(R, axis1=1, axis2=2)
-    # 2 trace dominates the largest eigenvalue of a nonzero PSD matrix and,
-    # unlike an absolute shift, keeps eigh's resolution relative to R
-    R_def = R + (2.0 * trace)[:, None, None] * U[:, :, None] * U[:, None, :]
-    vals, vecs = np.linalg.eigh(R_def)
+    vals, vecs = np.linalg.eigh(R + (2.0 * trace)[:, None, None] * U[:, :, None] * U[:, None, :])
+    return vals, vecs, trace
+
+
+def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
+    """One block update of the alternating descent: for each row xi of X,
+    the eigenvector w minimizing w^T R(xi) w over unit w orthogonal to J xi,
+    with that minimum lambda_2(R(xi)) and trace R(xi)."""
+    vals, vecs, trace = _deflated_eigh(rf, X)
     return vecs[:, :, 0], vals[:, 0], trace
-
-
-def _sphere_gradient(rf: RealifiedFrame, X: np.ndarray, W: np.ndarray,
-                     f: np.ndarray) -> np.ndarray:
-    """Riemannian gradient 2 (R(w) xi - f xi) of f(xi) = lambda_2(R(xi)) on
-    the unit sphere, at each row xi of X with its deflated eigenvector w and
-    value f.  It follows from w^T R(xi) w = xi^T R(w) xi."""
-    B = gradient_rows(rf, W)
-    Rw_xi = (np.swapaxes(B, -1, -2) @ (B @ X[:, :, None]))[:, :, 0]
-    return 2.0 * (Rw_xi - f[:, None] * X)
 
 
 @lru_cache(maxsize=4096)
@@ -315,77 +312,87 @@ def _start_direction(seed: int, two_n: int) -> np.ndarray:
     return v
 
 
-def _lbfgs_product(S: np.ndarray, Y: np.ndarray, valid: np.ndarray,
-                   gamma: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The L-BFGS inverse-Hessian approximation applied to each row of G,
-    in the compact form of Byrd, Nocedal and Schnabel (1994):
+def _newton_model(rf: RealifiedFrame, X: np.ndarray, vals: np.ndarray,
+                  vecs: np.ndarray, trace: np.ndarray):
+    """Riemannian gradient g and Hessian H of f(xi) = lambda_2(R(xi)) at
+    each unit row xi of X, from the eigenpairs of ``_deflated_eigh`` there.
 
-        H g = gamma g + S^T top - gamma Y^T p,   p = R^-1 S g,
-        top = R^-T ((D + gamma Y Y^T) p - gamma Y g),
+    With w = w_2, f(xi) = xi^T R(w) xi, so the Euclidean gradient is
+    2 R(w) xi, and the Euclidean Hessian (Overton and Womersley 1995) is
 
-    with pairs (s_i, y_i) stored oldest first as the rows of S and Y,
-    shape (b, memory, d), R the upper triangle of S Y^T and D its diagonal.
-    Slots not ``valid`` hold zeros; a unit diagonal entry of R decouples
-    them.
+        2 R(w) + 2 sum_{j>=3} v_j v_j^T / (lambda_2 - lambda_j) + 2 lambda_2 (Jw)(Jw)^T
+
+    with v_j = K w_j, K = sum_k (Phi_k xi . w) Phi_k + B(w)^T B(xi) and B
+    = ``gradient_rows``.  The last term is the phase pair's, whose v is
+    +-lambda_2 Jw.  f is constant along xi and J xi, so both are projected
+    onto the horizontal space orthogonal to them, and the Hessian is
+    shifted by -2 f for the curvature of the sphere (Absil, Mahony and
+    Sepulchre 2008).  The two vertical directions get eigenvalue trace R(xi)
+    in H, where g has no component.  The gaps lambda_2 - lambda_j are
+    floored at NEWTON_FLOOR times trace R(xi), so a degenerate lambda_2 =
+    lambda_3 gives a large but finite curvature.
     """
-    SY = S @ np.swapaxes(Y, 1, 2)
-    R = np.triu(SY) + np.eye(S.shape[1]) * ~valid[:, :, None]
-    Sg = (S @ G[:, :, None])[:, :, 0]
-    Yg = (Y @ G[:, :, None])[:, :, 0]
-    p = np.linalg.solve(R, Sg[:, :, None])
-    YYp = Y @ (np.swapaxes(Y, 1, 2) @ p)
-    rhs = np.diagonal(SY, axis1=1, axis2=2)[:, :, None] * p + gamma[:, None, None] * YYp
-    top = np.linalg.solve(np.swapaxes(R, 1, 2), rhs - gamma[:, None, None] * Yg[:, :, None])
-    return (gamma[:, None] * G + (np.swapaxes(S, 1, 2) @ top)[:, :, 0]
-            - gamma[:, None] * (np.swapaxes(Y, 1, 2) @ p)[:, :, 0])
+    W, f = vecs[:, :, 0], vals[:, 0]
+    U = X @ rf.J.T
+    vertical = X[:, :, None] * X[:, None, :] + U[:, :, None] * U[:, None, :]
+    P = np.eye(rf.two_n) - vertical
+    Bx, Bw = gradient_rows(rf, X), gradient_rows(rf, W)
+    Rw = np.swapaxes(Bw, 1, 2) @ Bw
+    g = (P @ (2.0 * Rw @ X[:, :, None]))[:, :, 0]
+    c = Bx @ W[:, :, None]
+    K = (rf.phi.T @ (c * rf.phi) + rf.Jphi.T @ (c * rf.Jphi) + np.swapaxes(Bw, 1, 2) @ Bx)
+    V = K @ vecs[:, :, 1:-1]
+    gap = np.minimum(vals[:, :1] - vals[:, 1:-1], -NEWTON_FLOOR * trace[:, None])
+    JW = W @ rf.J.T
+    H = (2.0 * Rw + 2.0 * (V / gap[:, None, :]) @ np.swapaxes(V, 1, 2)
+         + 2.0 * f[:, None, None] * (JW[:, :, None] * JW[:, None, :] - np.eye(rf.two_n)))
+    return g, P @ H @ P + trace[:, None, None] * vertical
 
 
 def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.inf):
-    """Batched Riemannian L-BFGS on f(xi) = lambda_2(R(xi)) over the unit
-    sphere, one independent run per row of X, each taking at most
+    """Batched Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the
+    unit sphere, one independent run per row of X, each taking at most
     ``budget`` steps.
 
-    A step moves along the L-BFGS direction (memory LBFGS_MEMORY, projected
-    onto the tangent space; the scaled gradient when that is not a descent
-    direction), retracts by normalization and halves the step until the
-    Armijo condition holds, so f never increases.  When MAX_BACKTRACKS
-    halvings find no decrease, the run drops its memory and takes a
-    gradient step next; when a gradient step fails so, f is resolved to
-    rounding and the run stops.  A run also stops when its Riemannian
-    gradient is at most POLISH_GTOL times trace R(xi), and, checked every
-    STALL_WINDOW steps, when falling at the rate of its last STALL_WINDOW
-    steps it would not reach the lowest value seen in the batch (or
-    ``target``, when lower) within the steps left.
+    A step moves along -|H|^-1 g, with g and H from ``_newton_model`` and
+    |H| the Hessian with its eigenvalues in absolute value, floored at
+    NEWTON_FLOOR times trace R(xi), so it is a descent direction also where
+    H is indefinite.  It retracts by normalization and halves the step
+    until the Armijo condition holds, so f never increases.  When the
+    decrease the halved step promises falls below the rounding of f, eps
+    times trace R(xi), f is resolved and the run stops.  A run also stops
+    when its Riemannian gradient is at most POLISH_GTOL times trace R(xi),
+    and, checked every STALL_WINDOW steps, when falling at the rate of its
+    last STALL_WINDOW steps it would not reach the lowest value seen in the
+    batch (or ``target``, when lower) within the steps left.  A step makes
+    two eigh calls, one for the Hessian and one for f at the new point,
+    plus one per halving.
 
     Returns the final rows, the steps each run took, and whether each
     stopped by one of these rules rather than by spending the budget.
     """
     X = np.array(X, dtype=np.float64)
-    b, d = X.shape
+    b = X.shape[0]
     used = np.zeros(b, dtype=np.int64)
     stopped = np.zeros(b, dtype=bool)
-    w, f, T = _block_min_eig(rf, X)
-    g = _sphere_gradient(rf, X, w, f)
     # state of the runs still going, compacted whenever some stop
     idx, x = np.arange(b), X.copy()
-    S = np.zeros((b, LBFGS_MEMORY, d))
-    Y = np.zeros((b, LBFGS_MEMORY, d))
-    valid = np.zeros((b, LBFGS_MEMORY), dtype=bool)
-    gamma = 0.5 / T
-    f_then = f.copy()
-    best = min(target, float(f.min()))
+    vals, vecs, T = _deflated_eigh(rf, x)
+    f_then = vals[:, 0].copy()
+    best = min(target, float(vals[:, 0].min()))
     step = 0
 
     def retire(stop):
-        nonlocal idx, x, w, f, T, g, S, Y, valid, gamma, f_then
+        nonlocal idx, x, vals, vecs, T, f_then
         stopped[idx[stop]] = True
         X[idx[stop]] = x[stop]
         keep = ~stop
-        idx, x, w, f, T, g = idx[keep], x[keep], w[keep], f[keep], T[keep], g[keep]
-        S, Y, valid, gamma, f_then = S[keep], Y[keep], valid[keep], gamma[keep], f_then[keep]
+        idx, x, vals, vecs, T, f_then = idx[keep], x[keep], vals[keep], vecs[keep], T[keep], f_then[keep]
         return keep
 
     while True:
+        f = vals[:, 0]
+        g, H = _newton_model(rf, x, vals, vecs, T)
         stop = np.sqrt((g * g).sum(1)) <= POLISH_GTOL * T
         if step and step % STALL_WINDOW == 0:
             # steps needed to reach the best value at the recent rate
@@ -394,58 +401,37 @@ def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.i
             stop |= (f > best) & ~(need <= budget - step)
             f_then = f.copy()
         if stop.any():
-            retire(stop)
+            keep = retire(stop)
+            f, g, H = f[keep], g[keep], H[keep]
         if idx.size == 0 or step == budget:
             break
-        r = _lbfgs_product(S, Y, valid, gamma, g)
-        D = (r * x).sum(1)[:, None] * x - r
+        mu, Q = np.linalg.eigh(H)
+        Qg = np.swapaxes(Q, 1, 2) @ g[:, :, None]
+        D = -(Q @ (Qg / np.maximum(np.abs(mu), NEWTON_FLOOR * T[:, None])[:, :, None]))[:, :, 0]
         slope = (g * D).sum(1)
-        reset = ~(slope < 0.0)
-        if reset.any():
-            D[reset] = -gamma[reset, None] * g[reset]
-            slope[reset] = -gamma[reset] * (g[reset] * g[reset]).sum(1)
-            S[reset], Y[reset], valid[reset] = 0.0, 0.0, False
         # Armijo backtracking, re-evaluating only the runs still pending
         t = np.ones(idx.size)
-        xn, wn, fn, Tn = np.empty_like(x), np.empty_like(x), f.copy(), T.copy()
+        xn, valn, vecn, Tn = x.copy(), vals.copy(), vecs.copy(), T.copy()
         pending = np.arange(idx.size)
-        for _ in range(MAX_BACKTRACKS):
+        failed = np.zeros(idx.size, dtype=bool)
+        while pending.size:
             cand = _unit_rows(x[pending] + t[pending, None] * D[pending])
-            wc, fc, Tc = _block_min_eig(rf, cand)
-            ok = fc <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending]
+            vc, Vc, Tc = _deflated_eigh(rf, cand)
+            ok = vc[:, 0] <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending]
             hit = pending[ok]
-            xn[hit], wn[hit], fn[hit], Tn[hit] = cand[ok], wc[ok], fc[ok], Tc[ok]
+            xn[hit], valn[hit], vecn[hit], Tn[hit] = cand[ok], vc[ok], Vc[ok], Tc[ok]
             pending = pending[~ok]
-            if pending.size == 0:
-                break
             t[pending] *= 0.5
+            # written so that a NaN slope also ends the search
+            resolved = ~(-t[pending] * slope[pending] > np.finfo(float).eps * T[pending])
+            failed[pending[resolved]] = True
+            pending = pending[~resolved]
         used[idx] += 1
         step += 1
-        if pending.size:
-            # a failed quasi-Newton step drops its memory and retries along
-            # the gradient; a failed gradient step has resolved f
-            stalled = np.zeros(idx.size, dtype=bool)
-            stalled[pending] = ~valid[pending].any(axis=1)
-            retry = pending[~stalled[pending]]
-            S[retry], Y[retry], valid[retry] = 0.0, 0.0, False
-            gamma[retry] = 0.5 / T[retry]
-            xn[retry], wn[retry], fn[retry], Tn[retry] = x[retry], w[retry], f[retry], T[retry]
-            keep = retire(stalled)
-            xn, wn, fn, Tn = xn[keep], wn[keep], fn[keep], Tn[keep]
-            if idx.size == 0:
-                break
-        gn = _sphere_gradient(rf, xn, wn, fn)
-        s_new, y_new = xn - x, gn - g
-        sy = (s_new * y_new).sum(1)
-        yy = (y_new * y_new).sum(1)
-        curved = (sy > 0.0) & (yy > 0.0)
-        # newest pair last; a pair failing the curvature condition is kept
-        # as zeros, which the product ignores
-        S[:, :-1], Y[:, :-1], valid[:, :-1] = S[:, 1:], Y[:, 1:], valid[:, 1:]
-        S[:, -1], Y[:, -1], valid[:, -1] = curved[:, None] * s_new, curved[:, None] * y_new, curved
-        gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
-        x, w, f, T, g = xn, wn, fn, Tn, gn
-        best = min(best, float(f.min()))
+        x, vals, vecs, T = xn, valn, vecn, Tn
+        best = min(best, float(vals[:, 0].min()))
+        if failed.any():
+            retire(failed)
     X[idx] = x
     return X, used, stopped
 
@@ -468,9 +454,9 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
        computation, so the objective is nonincreasing.  A start stops when
        its decrease per iteration is at most BLOCK_RTOL times trace R(xi).
     2. The starts still descending after phase 1 finish with a batched
-       Riemannian L-BFGS on f(xi) = lambda_2(R(xi)) over the unit sphere
-       (``_polish``), for the rest of their budget.  Block descent stalls
-       in narrow valleys where this converges.
+       Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the unit
+       sphere (``_polish``), for the rest of their budget.  Block descent
+       stalls in narrow valleys where this converges.
 
     The reported a0 is the smallest second eigenvalue (``eigvalsh``) of
     R(xi) over the final directions.  It is an upper bound on the true

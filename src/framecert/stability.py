@@ -141,18 +141,6 @@ class GapAuditResult:
     samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "bound": self.bound,
-            "B": self.b,
-            "B_prime": self.b_prime,
-            "max_delta": self.max_delta,
-            "min_lambda_min_perturbed": self.min_lambda_min_perturbed,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def stability_radius(fr: ComplexFrame, a0: float) -> StabilityRadius:
     """Perturbation radius under which phase retrievability is guaranteed

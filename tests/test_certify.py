@@ -60,7 +60,7 @@ def test_eigenvalue_2n_minus_1_picks_second_smallest():
 
 
 def block_descent_oracle(rf, starts, max_iter=2000, tol=1e-10, seed=42):
-    """The margin search before the L-BFGS phase: batched block descent
+    """The margin search before the Newton phase: batched block descent
     from the same starts for up to max_iter iterations, then the smallest
     second eigenvalue over the final directions."""
     X = np.stack([certify_module._start_direction(seed + i, rf.two_n) for i in range(starts)])
@@ -102,6 +102,14 @@ def test_max_iter_is_the_budget_over_both_phases():
     assert short.best_hit_budget
 
 
+def test_newton_phase_step_counts():
+    # seed 42: BH n=6 at 2 starts polishes in a narrow valley, and BH n=3
+    # at 64 starts polishes starts that already sit near the best value;
+    # a quasi-Newton (L-BFGS) phase takes 380 and 45 steps there
+    assert estimate_a0(RealifiedFrame.from_frame(bh(6)), starts=2).diagnostics.polish_iterations <= 190
+    assert estimate_a0(RealifiedFrame.from_frame(bh(3)), starts=64).diagnostics.polish_iterations <= 15
+
+
 def test_search_diagnostics_count_every_start():
     for fr in (bh(2), bh(5), trivial_non_retrievable(3, 8)):
         estimate = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
@@ -115,7 +123,7 @@ def test_search_diagnostics_count_every_start():
         assert again.diagnostics == d and again[0] == estimate[0]
         copied = pickle.loads(pickle.dumps(estimate))
         assert copied.diagnostics == d and copied[0] == estimate[0]
-    # BH n=2 converges in the block descent; BH n=5 needs the L-BFGS phase
+    # BH n=2 converges in the block descent; BH n=5 needs the Newton phase
     assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.polished == 0
     assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polished > 0
 

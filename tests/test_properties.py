@@ -1,12 +1,12 @@
 """Property tests for the batched realified kernel, the batched separation
-check, the cached start directions, the L-BFGS phase and the scale
+check, the cached start directions, the Newton phase and the scale
 equivariance of the margin search, and the hyperplane test of the
 complement property."""
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framecert import (
@@ -222,3 +222,40 @@ def test_polish_never_raises_lambda_2(n, extra, rows, budget, seed):
     assert np.all(after[:, 1] <= before[:, 1] + slack)
     assert np.all(used <= budget)
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-12)
+
+
+@st.composite
+def point_and_horizontal_direction(draw):
+    """A random frame in C^n, n = 2..4, with 2n <= m <= 4n-2 vectors, a unit
+    xi and a unit eta orthogonal to xi and J xi."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = draw(st.integers(min_value=2 * n, max_value=4 * n - 2))
+    rng = np.random.default_rng(draw(SEEDS))
+    rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(complex_gaussian(rng, m, n)))
+    xi, eta = rng.standard_normal((2, 2 * n))
+    xi /= np.linalg.norm(xi)
+    jxi = rf.J @ xi
+    eta -= (eta @ xi) * xi + (eta @ jxi) * jxi
+    return rf, xi, eta / np.linalg.norm(eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_and_horizontal_direction())
+def test_newton_model_matches_central_differences_along_great_circles(case):
+    rf, xi, eta = case
+    vals, vecs, trace = certify_module._deflated_eigh(rf, xi[None, :])
+    T = trace[0]
+    # away from lambda_2 = lambda_3, where f is smooth enough for differences
+    assume(vals[0, 1] - vals[0, 0] >= 1e-2 * T)
+    g, H = certify_module._newton_model(rf, xi[None, :], vals, vecs, trace)
+    g, H = g[0], H[0]
+
+    def f(t):
+        return np.linalg.eigvalsh(r_matrix(rf, xi * np.cos(t) + eta * np.sin(t)))[1]
+
+    h = 1e-5
+    ahead, here, behind = f(h), f(0.0), f(-h)
+    # rounding of f puts the second difference off by about eps T / h^2
+    assert abs((ahead - behind) / (2 * h) - g @ eta) <= 1e-7 * T
+    assert abs((ahead - 2 * here + behind) / h ** 2 - eta @ H @ eta) <= 1e-4 * T
+    assert abs(g @ xi) <= 1e-12 * T and abs(g @ (rf.J @ xi)) <= 1e-12 * T
