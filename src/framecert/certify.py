@@ -10,7 +10,9 @@ BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
 Newton method on lambda_2(R(xi)) over the unit sphere for the starts still
 descending, its gradient and Hessian built from the eigenpairs of the one
 eigh each step already makes, all within a total budget of max_iter
-iterations per start.
+iterations per start.  Frames of one shape can be searched together as
+one stack of starts (``_margin_search``), which is how
+``stability_experiment`` certifies its trials.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
@@ -54,11 +56,8 @@ from .core import (
     ComplexFrame,
     RealifiedFrame,
     gradient_rows,
-    r_matrices,
     r_matrix,
     rank_by_svd,
-    realify,
-    unrealify,
 )
 from .errors import FramecertError
 
@@ -123,6 +122,12 @@ STALL_WINDOW = 25
 # Iteration budget per start of ``estimate_a0``, over both of its phases.
 MAX_ITER = 2000
 
+# Entries of the largest (rows, m, 2n) array of one stacked margin search:
+# the trials of ``stability_experiment`` are searched together in chunks of
+# whole frames of at most STACK_ENTRIES / (m 2n) rows.  Larger batches run
+# slower per row (random n=10, m=38: 20% slower at 256 rows than at 64).
+STACK_ENTRIES = 2 ** 14
+
 # Random pairs used to cross-validate a Retrievable verdict.
 CROSS_CHECK_PAIRS = 100
 
@@ -130,6 +135,12 @@ CROSS_CHECK_PAIRS = 100
 # minimum distance between rays.
 ORACLE_MATCH_TOL = 1e-8
 ORACLE_RAY_TOL = 1e-4
+
+# The oracle's Gauss-Newton runs: trials solved together, steps per trial,
+# and the floor on the damping relative to trace J^T J.
+ORACLE_CHUNK = 64
+ORACLE_ITERS = 100
+ORACLE_DAMPING = 1e-12
 
 VERDICT_RETRIEVABLE = "Retrievable"
 VERDICT_NOT_RETRIEVABLE = "NotRetrievable"
@@ -269,11 +280,67 @@ class CardinalityBounds:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """The rows of a margin search over several frames of one shape: the
+    frames, their vectors stacked (phi and Jphi of shape (frames, m, 2n)),
+    and the frame of each row, in ascending order."""
+
+    rfs: tuple[RealifiedFrame, ...]
+    phi: np.ndarray
+    Jphi: np.ndarray
+    frame: np.ndarray
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.rfs[0].J
+
+
+def _take(rows: RealifiedFrame | _Stack, keep) -> RealifiedFrame | _Stack:
+    """The rows ``keep`` of a one-frame search or of a ``_Stack``."""
+    if isinstance(rows, RealifiedFrame):
+        return rows
+    return _Stack(rows.rfs, rows.phi, rows.Jphi, rows.frame[keep])
+
+
+def _row_vectors(rows: RealifiedFrame | _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """phi and Jphi of the frame of each row, or of the one frame."""
+    if isinstance(rows, RealifiedFrame):
+        return rows.phi, rows.Jphi
+    return rows.phi[rows.frame], rows.Jphi[rows.frame]
+
+
+def _gradient_rows(rows: RealifiedFrame | _Stack, X: np.ndarray) -> np.ndarray:
+    """``gradient_rows`` at each row of X for the frame of that row.  A
+    row's matrix product rounds differently with the number of rows
+    multiplied together, so for a ``_Stack`` the products are taken frame
+    by frame, on exactly the rows that a search on that frame alone
+    multiplies.  A stacked search thus gives bit for bit the results of
+    the searches on its frames one by one."""
+    if isinstance(rows, RealifiedFrame):
+        return gradient_rows(rows, X)
+    a = np.empty(X.shape[:1] + rows.phi.shape[1:2])
+    b = np.empty_like(a)
+    ends = np.searchsorted(rows.frame, np.arange(len(rows.rfs) + 1)).tolist()
+    for rf, lo, hi in zip(rows.rfs, ends, ends[1:]):
+        if hi > lo:
+            a[lo:hi], b[lo:hi] = X[lo:hi] @ rf.phi.T, X[lo:hi] @ rf.Jphi.T
+    phi, Jphi = _row_vectors(rows)
+    return a[:, :, None] * phi + b[:, :, None] * Jphi
+
+
+def _r_matrices(rows: RealifiedFrame | _Stack, X: np.ndarray) -> np.ndarray:
+    """``r_matrices`` at each row of X for the frame of that row."""
+    B = _gradient_rows(rows, X)
+    return np.swapaxes(B, -1, -2) @ B
+
+
 def _unit_rows(X: np.ndarray) -> np.ndarray:
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+    # the arithmetic of np.linalg.norm(X, axis=1), without its overhead
+    return X / np.sqrt((X * X).sum(axis=1, keepdims=True))
 
 
-def _deflated_eigh(rf: RealifiedFrame, X: np.ndarray):
+def _deflated_eigh(rf: RealifiedFrame | _Stack, X: np.ndarray):
     """Eigenpairs of R = r_matrix at each row xi of X with the phase
     direction J xi deflated upward by 2 trace R, and trace R itself.
 
@@ -283,14 +350,14 @@ def _deflated_eigh(rf: RealifiedFrame, X: np.ndarray):
     the kernel of R), the last is the phase direction, and the pairs
     between are lambda_3 .. lambda_2n.
     """
-    R = r_matrices(rf, X)
+    R = _r_matrices(rf, X)
     U = _unit_rows(X @ rf.J.T)
     trace = np.trace(R, axis1=1, axis2=2)
     vals, vecs = np.linalg.eigh(R + (2.0 * trace)[:, None, None] * U[:, :, None] * U[:, None, :])
     return vals, vecs, trace
 
 
-def _block_min_eig(rf: RealifiedFrame, X: np.ndarray):
+def _block_min_eig(rf: RealifiedFrame | _Stack, X: np.ndarray):
     """One block update of the alternating descent: for each row xi of X,
     the eigenvector w minimizing w^T R(xi) w over unit w orthogonal to J xi,
     with that minimum lambda_2(R(xi)) and trace R(xi)."""
@@ -312,7 +379,7 @@ def _start_direction(seed: int, two_n: int) -> np.ndarray:
     return v
 
 
-def _newton_model(rf: RealifiedFrame, X: np.ndarray, vals: np.ndarray,
+def _newton_model(rf: RealifiedFrame | _Stack, X: np.ndarray, vals: np.ndarray,
                   vecs: np.ndarray, trace: np.ndarray):
     """Riemannian gradient g and Hessian H of f(xi) = lambda_2(R(xi)) at
     each unit row xi of X, from the eigenpairs of ``_deflated_eigh`` there.
@@ -330,29 +397,35 @@ def _newton_model(rf: RealifiedFrame, X: np.ndarray, vals: np.ndarray,
     Sepulchre 2008).  The two vertical directions get eigenvalue trace R(xi)
     in H, where g has no component.  The gaps lambda_2 - lambda_j are
     floored at NEWTON_FLOOR times trace R(xi), so a degenerate lambda_2 =
-    lambda_3 gives a large but finite curvature.
+    lambda_3 gives a large but finite curvature.  Where R(xi) = 0 the floor
+    is 0, but so is K, and those pairs add nothing.
     """
     W, f = vecs[:, :, 0], vals[:, 0]
     U = X @ rf.J.T
     vertical = X[:, :, None] * X[:, None, :] + U[:, :, None] * U[:, None, :]
-    P = np.eye(rf.two_n) - vertical
-    Bx, Bw = gradient_rows(rf, X), gradient_rows(rf, W)
+    eye = np.eye(X.shape[1])
+    P = eye - vertical
+    Bx, Bw = _gradient_rows(rf, X), _gradient_rows(rf, W)
     Rw = np.swapaxes(Bw, 1, 2) @ Bw
     g = (P @ (2.0 * Rw @ X[:, :, None]))[:, :, 0]
     c = Bx @ W[:, :, None]
-    K = (rf.phi.T @ (c * rf.phi) + rf.Jphi.T @ (c * rf.Jphi) + np.swapaxes(Bw, 1, 2) @ Bx)
+    phi, Jphi = _row_vectors(rf)
+    K = (np.swapaxes(phi, -1, -2) @ (c * phi) + np.swapaxes(Jphi, -1, -2) @ (c * Jphi)
+         + np.swapaxes(Bw, 1, 2) @ Bx)
     V = K @ vecs[:, :, 1:-1]
     gap = np.minimum(vals[:, :1] - vals[:, 1:-1], -NEWTON_FLOOR * trace[:, None])
+    gap[gap == 0.0] = -1.0
     JW = W @ rf.J.T
     H = (2.0 * Rw + 2.0 * (V / gap[:, None, :]) @ np.swapaxes(V, 1, 2)
-         + 2.0 * f[:, None, None] * (JW[:, :, None] * JW[:, None, :] - np.eye(rf.two_n)))
+         + 2.0 * f[:, None, None] * (JW[:, :, None] * JW[:, None, :] - eye))
     return g, P @ H @ P + trace[:, None, None] * vertical
 
 
-def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.inf):
+def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None):
     """Batched Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the
     unit sphere, one independent run per row of X, each taking at most
-    ``budget`` steps.
+    ``budget`` steps.  ``rf`` is one frame, or a ``_Stack`` with the frame
+    of each row; ``target``, when given, holds a value for each frame.
 
     A step moves along -|H|^-1 g, with g and H from ``_newton_model`` and
     |H| the Hessian with its eigenvalues in absolute value, floored at
@@ -363,42 +436,47 @@ def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.i
     times trace R(xi), f is resolved and the run stops.  A run also stops
     when its Riemannian gradient is at most POLISH_GTOL times trace R(xi),
     and, checked every STALL_WINDOW steps, when falling at the rate of its
-    last STALL_WINDOW steps it would not reach the lowest value seen in the
-    batch (or ``target``, when lower) within the steps left.  A step makes
-    two eigh calls, one for the Hessian and one for f at the new point,
-    plus one per halving.
+    last STALL_WINDOW steps it would not reach the lowest value seen among
+    the rows of its frame (or its frame's ``target``, when lower) within
+    the steps left.  So no run depends on the rows of another frame.  A
+    step makes two eigh calls, one for the Hessian and one for f at the new
+    point, plus one per halving.
 
     Returns the final rows, the steps each run took, and whether each
     stopped by one of these rules rather than by spending the budget.
     """
     X = np.array(X, dtype=np.float64)
     b = X.shape[0]
+    frame = np.zeros(b, dtype=np.intp) if isinstance(rf, RealifiedFrame) else rf.frame
     used = np.zeros(b, dtype=np.int64)
     stopped = np.zeros(b, dtype=bool)
     # state of the runs still going, compacted whenever some stop
-    idx, x = np.arange(b), X.copy()
-    vals, vecs, T = _deflated_eigh(rf, x)
+    idx, x, rows = np.arange(b), X.copy(), rf
+    vals, vecs, T = _deflated_eigh(rows, x)
     f_then = vals[:, 0].copy()
-    best = min(target, float(vals[:, 0].min()))
+    best = np.full(frame[-1] + 1, np.inf) if target is None else np.array(target, dtype=float)
+    np.minimum.at(best, frame, vals[:, 0])
     step = 0
 
     def retire(stop):
-        nonlocal idx, x, vals, vecs, T, f_then
+        nonlocal idx, x, rows, vals, vecs, T, f_then
         stopped[idx[stop]] = True
         X[idx[stop]] = x[stop]
         keep = ~stop
-        idx, x, vals, vecs, T, f_then = idx[keep], x[keep], vals[keep], vecs[keep], T[keep], f_then[keep]
+        idx, x, rows = idx[keep], x[keep], _take(rows, keep)
+        vals, vecs, T, f_then = vals[keep], vecs[keep], T[keep], f_then[keep]
         return keep
 
     while True:
         f = vals[:, 0]
-        g, H = _newton_model(rf, x, vals, vecs, T)
+        g, H = _newton_model(rows, x, vals, vecs, T)
         stop = np.sqrt((g * g).sum(1)) <= POLISH_GTOL * T
         if step and step % STALL_WINDOW == 0:
-            # steps needed to reach the best value at the recent rate
+            # steps needed to reach the best value of the frame at the recent rate
+            mine = best[frame[idx]]
             with np.errstate(divide="ignore", invalid="ignore"):
-                need = STALL_WINDOW * np.log(f / best) / np.log(f_then / f)
-            stop |= (f > best) & ~(need <= budget - step)
+                need = STALL_WINDOW * np.log(f / mine) / np.log(f_then / f)
+            stop |= (f > mine) & ~(need <= budget - step)
             f_then = f.copy()
         if stop.any():
             keep = retire(stop)
@@ -416,7 +494,7 @@ def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.i
         failed = np.zeros(idx.size, dtype=bool)
         while pending.size:
             cand = _unit_rows(x[pending] + t[pending, None] * D[pending])
-            vc, Vc, Tc = _deflated_eigh(rf, cand)
+            vc, Vc, Tc = _deflated_eigh(_take(rows, pending), cand)
             ok = vc[:, 0] <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending]
             hit = pending[ok]
             xn[hit], valn[hit], vecn[hit], Tn[hit] = cand[ok], vc[ok], Vc[ok], Tc[ok]
@@ -429,11 +507,88 @@ def _polish(rf: RealifiedFrame, X: np.ndarray, budget: int, target: float = np.i
         used[idx] += 1
         step += 1
         x, vals, vecs, T = xn, valn, vecn, Tn
-        best = min(best, float(vals[:, 0].min()))
+        np.minimum.at(best, frame[idx], vals[:, 0])
         if failed.any():
             retire(failed)
     X[idx] = x
     return X, used, stopped
+
+
+def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
+                   max_iter: int) -> list[MarginEstimate]:
+    """``estimate_a0`` on each of the frames ``rfs`` (all of one shape),
+    frame j with seed seeds[j], as one stack of starts x frames.  The frames
+    go in chunks of whole frames, each of at most STACK_ENTRIES / (m 2n)
+    rows (but at least one frame).  Every rule that stops a row looks only at its own
+    frame's rows, and the products are taken frame by frame
+    (``_gradient_rows``), so each result is bit for bit the one
+    ``estimate_a0`` gives on that frame alone."""
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    per = max(1, STACK_ENTRIES // (rfs[0].m * rfs[0].two_n * starts))
+    return [estimate for lo in range(0, len(rfs), per)
+            for estimate in _search_chunk(rfs[lo:lo + per], starts, seeds[lo:lo + per],
+                                          max_iter)]
+
+
+def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
+                  max_iter: int) -> list[MarginEstimate]:
+    """The two phases of ``estimate_a0`` on one chunk of ``_margin_search``,
+    rows j*starts .. (j+1)*starts - 1 being the starts of frame j."""
+    frames = len(rfs)
+    rows = rfs[0] if frames == 1 else _Stack(
+        tuple(rfs), np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]),
+        np.repeat(np.arange(frames), starts))
+    X = np.stack([_start_direction(s + i, rfs[0].two_n) for s in seeds for i in range(starts)])
+    vals = np.full(X.shape[0], np.inf)
+    iterations = np.zeros(X.shape[0], dtype=np.int64)
+    # the rows still descending (row r is a start of frame r // starts), and their frames
+    active, live = np.arange(X.shape[0]), rows
+    for _ in range(min(BLOCK_ITERS, max_iter)):
+        if active.size == 0:
+            break
+        Xa, _, _ = _block_min_eig(live, X[active])
+        Xa, v, trace = _block_min_eig(live, Xa)
+        X[active] = Xa
+        iterations[active] += 1
+        going = vals[active] - v > BLOCK_RTOL * trace
+        vals[active] = v
+        if not going.all():
+            active, live = active[going], _take(live, going)
+    block_iterations = iterations.reshape(frames, starts).max(axis=1)
+    stopped = np.ones(X.shape[0], dtype=bool)
+    stopped[active] = False
+    # every row still active has run min(BLOCK_ITERS, max_iter) iterations
+    budget = max_iter - min(BLOCK_ITERS, max_iter)
+    polished = active if budget > 0 else active[:0]
+    used = np.zeros(X.shape[0], dtype=np.int64)
+    if polished.size:
+        target = np.where(stopped, vals, np.inf).reshape(frames, starts).min(axis=1)
+        X[polished], used[polished], stopped[polished] = _polish(
+            live, X[polished], budget, target)
+        iterations += used
+    finals = np.linalg.eigvalsh(_r_matrices(rows, X))[:, 1]
+    best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
+    descending = np.bincount(active // starts, minlength=frames)
+    counts = zip(descending, (~stopped).reshape(frames, starts).sum(axis=1),
+                 block_iterations, used.reshape(frames, starts).max(axis=1), best)
+    out = []
+    for descending_j, hit, block_j, polish_j, b in counts:
+        diagnostics = SearchDiagnostics(
+            starts=starts,
+            block_converged=starts - int(descending_j),
+            polished=int(descending_j) if budget > 0 else 0,
+            hit_budget=int(hit),
+            block_iterations=int(block_j),
+            polish_iterations=int(polish_j),
+            best_iterations=int(iterations[b]),
+            best_hit_budget=bool(not stopped[b]),
+        )
+        out.append(MarginEstimate(float(max(finals[b], 0.0)), X[b] / np.linalg.norm(X[b]),
+                                  diagnostics))
+    return out
 
 
 def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
@@ -468,53 +623,7 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     the frame scaled by a power of two c gives exactly c^4 a0, the same
     witness and equal diagnostics.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    two_n = rf.two_n
-    X = np.stack([_start_direction(seed + i, two_n) for i in range(starts)])
-    vals = np.full(starts, np.inf)
-    iterations = np.zeros(starts, dtype=np.int64)
-    active = np.arange(starts)
-    block_iterations = 0
-    for _ in range(min(BLOCK_ITERS, max_iter)):
-        if active.size == 0:
-            break
-        block_iterations += 1
-        Xa = X[active]
-        Xa, _, _ = _block_min_eig(rf, Xa)
-        Xa, v, trace = _block_min_eig(rf, Xa)
-        X[active] = Xa
-        iterations[active] += 1
-        decrease = vals[active] - v
-        vals[active] = v
-        active = active[decrease > BLOCK_RTOL * trace]
-    stopped = np.ones(starts, dtype=bool)
-    stopped[active] = False
-    # every start still active has run block_iterations and has this left
-    budget = max_iter - block_iterations
-    polished = active if budget > 0 else active[:0]
-    polish_iterations = 0
-    if polished.size:
-        target = float(np.min(vals[stopped], initial=np.inf))
-        X[polished], used, stopped[polished] = _polish(rf, X[polished], budget, target)
-        iterations[polished] += used
-        polish_iterations = int(used.max())
-    finals = np.linalg.eigvalsh(r_matrices(rf, X))[:, 1]
-    best = int(np.argmin(finals))
-    diagnostics = SearchDiagnostics(
-        starts=starts,
-        block_converged=starts - active.size,
-        polished=int(polished.size),
-        hit_budget=int(np.count_nonzero(~stopped)),
-        block_iterations=block_iterations,
-        polish_iterations=polish_iterations,
-        best_iterations=int(iterations[best]),
-        best_hit_budget=bool(not stopped[best]),
-    )
-    return MarginEstimate(float(max(finals[best], 0.0)), X[best] / np.linalg.norm(X[best]),
-                          diagnostics)
+    return _margin_search([rf], starts, [seed], max_iter)[0]
 
 
 def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
@@ -645,18 +754,44 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     equivariant, but TAU_PR, TAU_NPR and the cross-check slack are
     absolute, so rescaling a frame can move its margin across one.
     """
+    return _certify_frames([fr], starts, [seed])[0]
+
+
+def _precheck(fr: ComplexFrame) -> Optional[CertificationReport]:
+    """The verdict of ``certify_complex`` steps 1 and 2, or None when the
+    margin has to decide."""
     if fr.n >= 2 and fr.m < 2 * fr.n:
-        return CertificationReport(
-            verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
-            kernel_excess=None, method="cardinality",
-        )
-    if not fr.is_frame:
-        return CertificationReport(
-            verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
-            kernel_excess=None, method="not-a-frame",
-        )
-    rf = RealifiedFrame.from_frame(fr)
-    estimate = estimate_a0(rf, starts=starts, seed=seed)
+        method = "cardinality"
+    elif not fr.is_frame:
+        method = "not-a-frame"
+    else:
+        return None
+    return CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
+                               kernel_excess=None, method=method)
+
+
+def _certify_frames(frames: list[ComplexFrame], starts: int,
+                    seeds: list[int]) -> list[CertificationReport]:
+    """``certify_complex`` on each of ``frames`` (all of one shape), frame i
+    with seed seeds[i].  The margins of the frames that need one are
+    searched as one stack (``_margin_search``); a single frame goes through
+    ``estimate_a0``."""
+    reports = [_precheck(fr) for fr in frames]
+    todo = [i for i, rep in enumerate(reports) if rep is None]
+    rfs = [RealifiedFrame.from_frame(frames[i]) for i in todo]
+    estimates = []
+    if len(todo) == 1:
+        estimates = [estimate_a0(rfs[0], starts=starts, seed=seeds[todo[0]])]
+    elif todo:
+        estimates = _margin_search(rfs, starts, [seeds[i] for i in todo], MAX_ITER)
+    for i, rf, estimate in zip(todo, rfs, estimates):
+        reports[i] = _decide(frames[i], rf, estimate, seeds[i])
+    return reports
+
+
+def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
+            seed: int) -> CertificationReport:
+    """``certify_complex`` step 3 after the margin search."""
     a0, witness = estimate
     diagnostics = estimate.diagnostics
     resolved = False
@@ -813,59 +948,112 @@ def _plain_magnitudes(vectors, x) -> list[float]:
     return out
 
 
+def _gauss_newton(rf: RealifiedFrame, targets: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton (Levenberg-Marquardt) on the residuals
+    r_k(eta) = eta^T Phi_k eta - targets[k], one independent run from each
+    row of E, with the targets of its row; returns the final rows.
+
+    The Jacobian rows are 2 Phi_k eta, twice ``gradient_rows`` (here with
+    one matrix-vector product per row), so J^T J = 4 R(eta).  A step
+    solves (J^T J + mu I) d = -J^T r.  R(eta) is singular along J eta,
+    where r is constant, so mu is floored at ORACLE_DAMPING times
+    trace J^T J, and it starts there.  A step that lowers |r|^2 is taken,
+    and mu is scaled by the gain ratio (Nielsen 1999); one that does not
+    is refused, and mu grows by a factor that doubles each time.  A run
+    stops when its step is below the rounding of eta, or after
+    ORACLE_ITERS steps.  Every row is computed on its own, so its result
+    does not depend on the other rows.
+    """
+    b, two_n = E.shape
+    out = np.array(E, dtype=np.float64)
+    # state of the runs still going, compacted whenever some stop
+    idx, eta, t = np.arange(b), out.copy(), targets
+
+    def residuals(eta, t):
+        # gradient_rows, with products that do not depend on the other rows
+        E = eta[:, :, None]
+        B = (rf.phi @ E) * rf.phi + (rf.Jphi @ E) * rf.Jphi
+        r = (B @ E)[:, :, 0] - t
+        return B, r, (r * r).sum(1)
+
+    B, r, cost = residuals(eta, t)
+    mu, grow = np.zeros(b), np.full(b, 2.0)
+    for _ in range(ORACLE_ITERS):
+        BT = np.swapaxes(B, 1, 2)
+        A, g = 4.0 * (BT @ B), 2.0 * (BT @ r[:, :, None])[:, :, 0]
+        # positive also where R(eta) = 0, where g = 0 as well
+        floor = ORACLE_DAMPING * np.trace(A, axis1=1, axis2=2) + np.finfo(float).tiny
+        mu = np.maximum(mu, floor)
+        d = np.linalg.solve(A + mu[:, None, None] * np.eye(two_n), -g[:, :, None])[:, :, 0]
+        Bn, rn, cn = residuals(eta + d, t)
+        ok = cn < cost
+        gain = (cost - cn) / np.where(ok, (d * (mu[:, None] * d - g)).sum(1), 1.0)
+        mu = np.where(ok, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), mu * grow)
+        grow = np.where(ok, 2.0, 2.0 * grow)
+        eta[ok], B[ok], r[ok], cost[ok] = eta[ok] + d[ok], Bn[ok], rn[ok], cn[ok]
+        done = np.linalg.norm(d, axis=1) <= np.finfo(float).eps * np.linalg.norm(eta, axis=1)
+        if done.any():
+            out[idx[done]] = eta[done]
+            keep = ~done
+            idx, eta, t = idx[keep], eta[keep], t[keep]
+            B, r, cost, mu, grow = B[keep], r[keep], cost[keep], mu[keep], grow[keep]
+            if idx.size == 0:
+                break
+    out[idx] = eta
+    return out
+
+
 def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 1000,
                                 seed: int = 42) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Search for a concrete injectivity counterexample by sampling.
 
-    Each trial samples a target x, then descends from a random start on the
-    smooth objective sum_k (|<x, f_k>|^2 - |<y, f_k>|^2)^2 over y.  A pair
-    counts as a counterexample when the squared measurements agree within
+    Each trial samples a target x and a random start, then minimizes the
+    mismatch sum_k (|<x, f_k>|^2 - |<y, f_k>|^2)^2 over y by damped
+    Gauss-Newton (``_gauss_newton``).  The targets and starts of all trials
+    come from one (trials, 4n) normal block, the stream of drawing x by
+    ``_random_complex`` and then 2n start entries trial by trial, and the
+    trials are solved together ORACLE_CHUNK at a time, so the search stops
+    after the first chunk that yields a pair.  A pair counts as a
+    counterexample when the squared measurements agree within
     ORACLE_MATCH_TOL while the rays stay ORACLE_RAY_TOL apart; both
-    conditions are re-verified in plain scalar arithmetic before the pair
-    is returned.  Returns None when no trial produces one.
+    conditions are re-verified in plain scalar arithmetic, and the pair of
+    the lowest-numbered trial that passes is returned.  Returns None when
+    no trial produces one.
 
     Finding nothing is evidence, not proof, of injectivity.  Nor does a
     returned pair prove a0 = 0: ORACLE_MATCH_TOL bounds the left side of
     the separation inequality by 1e-16 and ORACLE_RAY_TOL puts the right
     factor at about 4e-8 for unit x, so it proves only a0 <= about 2.5e-9.
     """
-    from scipy.optimize import minimize
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    rf = RealifiedFrame.from_frame(fr)
     n = fr.n
-    for _ in range(trials):
-        x = _random_complex(rng, n)
-        targets = np.abs(fr.vectors.conj() @ x) ** 2
+    G = np.random.default_rng(seed).standard_normal((trials, 4 * n))
+    X, E = (G[:, :n] + 1j * G[:, n:2 * n]) / np.sqrt(2.0), G[:, 2 * n:]
+    rf = RealifiedFrame.from_frame(fr)
 
-        def objective(eta: np.ndarray) -> float:
-            diff = gradient_rows(rf, eta) @ eta - targets
-            return float(diff @ diff)
+    def magnitudes(Z):
+        # one product per row, so a trial's numbers do not depend on the others
+        return np.abs(fr.vectors.conj() @ Z[:, :, None])[:, :, 0] ** 2
 
-        def gradient(eta: np.ndarray) -> np.ndarray:
-            prods = gradient_rows(rf, eta)
-            return 4.0 * ((prods @ eta - targets) @ prods)
-
-        eta0 = rng.standard_normal(2 * n)
-        res = minimize(objective, eta0, jac=gradient, method="L-BFGS-B",
-                       options={"maxiter": 200, "ftol": 1e-18, "gtol": 1e-14})
-        y = unrealify(res.x)
-        measured = np.abs(fr.vectors.conj() @ y) ** 2
-        if np.linalg.norm(targets - measured) > ORACLE_MATCH_TOL:
-            continue
-        if _ray_distance(x, y) < ORACLE_RAY_TOL:
-            continue
-        # plain-arithmetic re-verification before certifying the pair
-        px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())
-        py = _plain_magnitudes(fr.vectors.tolist(), y.tolist())
-        match = sum((a - b) ** 2 for a, b in zip(px, py)) ** 0.5
-        inner = sum(complex(a) * complex(b).conjugate()
-                    for a, b in zip(x.tolist(), y.tolist()))
-        nx = sum(abs(complex(a)) ** 2 for a in x.tolist())
-        ny = sum(abs(complex(b)) ** 2 for b in y.tolist())
-        apart = max(nx + ny - 2.0 * abs(inner), 0.0) ** 0.5
-        if match <= ORACLE_MATCH_TOL and apart >= ORACLE_RAY_TOL:
-            return x, y
+    targets = magnitudes(X)
+    for lo in range(0, trials, ORACLE_CHUNK):
+        chunk = slice(lo, lo + ORACLE_CHUNK)
+        eta = _gauss_newton(rf, targets[chunk], E[chunk])
+        Y = eta[:, :n] + 1j * eta[:, n:]
+        near = np.linalg.norm(targets[chunk] - magnitudes(Y), axis=1) <= ORACLE_MATCH_TOL
+        for x, y in zip(X[chunk][near], Y[near]):
+            if _ray_distance(x, y) < ORACLE_RAY_TOL:
+                continue
+            # plain-arithmetic re-verification before certifying the pair
+            px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())
+            py = _plain_magnitudes(fr.vectors.tolist(), y.tolist())
+            match = sum((a - b) ** 2 for a, b in zip(px, py)) ** 0.5
+            inner = sum(complex(a) * complex(b).conjugate()
+                        for a, b in zip(x.tolist(), y.tolist()))
+            nx = sum(abs(complex(a)) ** 2 for a in x.tolist())
+            ny = sum(abs(complex(b)) ** 2 for b in y.tolist())
+            apart = max(nx + ny - 2.0 * abs(inner), 0.0) ** 0.5
+            if match <= ORACLE_MATCH_TOL and apart >= ORACLE_RAY_TOL:
+                return x, y
     return None

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +540,102 @@ def test_oracle_finds_nothing_on_certified_frames():
     assert injectivity_sampling_oracle(bh(2), trials=1000, seed=3) is None
     single = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]))
     assert injectivity_sampling_oracle(single, trials=100, seed=4) is None
+
+
+def sequential_oracle_draws(seed, trials, n):
+    """Targets x and starts eta drawn trial by trial: x by _random_complex,
+    then the 2n start entries."""
+    rng = np.random.default_rng(seed)
+    xs, etas = [], []
+    for _ in range(trials):
+        xs.append(certify_module._random_complex(rng, n))
+        etas.append(rng.standard_normal(2 * n))
+    return np.array(xs), np.array(etas)
+
+
+def test_oracle_draws_targets_and_starts_from_the_sequential_stream(monkeypatch):
+    fr = trivial_non_retrievable(3, 8)
+    seen = []
+    real = certify_module._gauss_newton
+
+    def spy(rf, targets, E):
+        seen.append((targets.copy(), E.copy()))
+        return real(rf, targets, E)
+
+    monkeypatch.setattr(certify_module, "_gauss_newton", spy)
+    x, _ = injectivity_sampling_oracle(fr, trials=20, seed=11)
+    xs, etas = sequential_oracle_draws(11, 20, fr.n)
+    targets, E = seen[0]
+    np.testing.assert_array_equal(E, etas)
+    np.testing.assert_allclose(targets, np.abs(xs @ fr.vectors.conj().T) ** 2, rtol=1e-14)
+    # the lowest-numbered trial that passes is the first one here
+    np.testing.assert_array_equal(x, xs[0])
+
+
+@pytest.mark.parametrize("fr", [trivial_non_retrievable(2, 4), trivial_non_retrievable(3, 8)],
+                         ids=["trivial-2-4", "trivial-3-8"])
+def test_oracle_pair_does_not_depend_on_the_number_of_trials(fr):
+    # the first chunk holds k trials in one call and 2k (or a full chunk)
+    # in the other, so each trial's run must not depend on the rest
+    for k in (1, 5, 40):
+        for seed in (1, 2, 3):
+            first = injectivity_sampling_oracle(fr, trials=k, seed=seed)
+            if first is None:
+                continue
+            again = injectivity_sampling_oracle(fr, trials=2 * k, seed=seed)
+            assert again is not None
+            np.testing.assert_array_equal(first[0], again[0])
+            np.testing.assert_array_equal(first[1], again[1])
+
+
+NO_SCIPY = """
+import importlib.abc, sys
+
+class Block(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, Block())
+from framecert import (BodmannHammenParams, bodmann_hammen, certify_complex,
+                       injectivity_sampling_oracle, stability_experiment,
+                       trivial_non_retrievable)
+bh2 = bodmann_hammen(BodmannHammenParams(n=2))
+trivial = trivial_non_retrievable(2, 4)
+assert certify_complex(bh2, starts=8).verdict == "Retrievable"
+assert certify_complex(trivial, starts=8).verdict == "NotRetrievable"
+assert stability_experiment(bh2, trials=3, starts=8).failures == 0
+assert injectivity_sampling_oracle(bh2, trials=20) is None
+assert injectivity_sampling_oracle(trivial, trials=20) is not None
+assert "scipy" not in sys.modules
+print("ok")
+"""
+
+
+def test_certification_and_oracle_run_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_newton_model_at_a_direction_where_r_vanishes():
+    # R(xi) = 0 where xi is orthogonal to every vector of a family that
+    # does not span; the run must stop at once, without a 0/0
+    rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(np.array([[1.0, 0.0], [2.0, 0.0]])))
+    xi = np.array([[0.0, 1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, used, stopped = certify_module._polish(rf, xi, 10)
+        a0, witness = estimate_a0(rf, starts=8)
+    np.testing.assert_array_equal(out, xi)
+    assert used.tolist() == [0] and stopped.tolist() == [True]
+    assert a0 == 0.0
+    assert np.linalg.eigvalsh(r_matrix(rf, witness))[1] <= 1e-15
 
 
 def test_oracle_agrees_with_verdicts_on_reference_frames():

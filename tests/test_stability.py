@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from framecert import certify as certify_module
 from framecert import (
     VERDICT_RETRIEVABLE,
     BodmannHammenParams,
@@ -110,6 +111,42 @@ def test_stability_experiment_inside_the_radius_never_fails():
         assert 0.0 < row.max_delta < 0.99 * report.rho
         assert row.a0_estimate > 0.0
     assert report.b_prime_max == max(r.b_prime for r in report.trials)
+
+
+@pytest.mark.parametrize("n, starts, trials, stack_entries", [
+    (2, 16, 10, certify_module.STACK_ENTRIES),
+    (2, 16, 10, 2 * 16 * 16),
+    (4, 4, 4, certify_module.STACK_ENTRIES),
+], ids=["bh2", "bh2-chunks-of-two", "bh4-newton-phase"])
+def test_stability_experiment_rows_match_separate_certifications(monkeypatch, n, starts, trials,
+                                                                 stack_entries):
+    # the trials are certified as one stack (in chunks of two trials when
+    # the entries hold two frames of 16 starts with m 2n = 16; BH n=4 at 4
+    # starts reaches the Newton phase); each row must still be what
+    # certify_complex gives on that trial's frame alone
+    monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
+    fr = bodmann_hammen(BodmannHammenParams(n=n))
+    report = stability_experiment(fr, trials=trials, starts=starts, seed=5)
+    r = report.radius_fraction * report.rho
+    for row in report.trials:
+        alone = certify_complex(perturb_frame(fr, r, seed=5 + row.trial), starts=starts,
+                                seed=5 + row.trial)
+        assert (row.verdict, row.a0_estimate) == (alone.verdict, alone.a0)
+
+
+def test_stability_experiment_perturbs_through_the_module_name_in_trial_order(monkeypatch):
+    from framecert import stability as stability_module
+
+    seeds = []
+    real = stability_module.perturb_frame
+
+    def spy(fr, radius, seed=42):
+        seeds.append(seed)
+        return real(fr, radius, seed=seed)
+
+    monkeypatch.setattr(stability_module, "perturb_frame", spy)
+    stability_experiment(bh2(), trials=4, starts=8, seed=9)
+    assert seeds == [9, 10, 11, 12]
 
 
 def test_stability_experiment_csv_shape():
