@@ -1,155 +1,21 @@
 """framecert: numerical certification of phase retrievability and
-stability for finite complex frames."""
+stability for finite complex frames.
 
+The package re-exports the public names of its modules; each module's
+``__all__`` is the one list of them.
+"""
+
+from . import certify, constructions, core, errors, frameio, stability
 from ._version import __version__
-from .core import (
-    ComplexFrame,
-    FrameOperatorSummary,
-    RealifiedFrame,
-    build_phi,
-    canonical_dual,
-    frame_bounds,
-    gradient_rows,
-    gram_squared,
-    j_matrix,
-    l_matrix,
-    parseval_version,
-    r_matrices,
-    r_matrix,
-    rank_by_svd,
-    realify,
-    transform_frame,
-    unrealify,
-)
-from .certify import (
-    TAU_NPR,
-    TAU_PR,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_NOT_RETRIEVABLE,
-    VERDICT_RETRIEVABLE,
-    CardinalityBounds,
-    CertificationReport,
-    ComplementResult,
-    MarginEstimate,
-    RankKernelResult,
-    SearchDiagnostics,
-    certify_complex,
-    certify_real,
-    complement_property,
-    estimate_a0,
-    hmw_lower_bound,
-    injectivity_sampling_oracle,
-    magnitude_separation_check,
-    rank_kernel_check,
-    separation_sides,
-)
-from .constructions import (
-    BodmannHammenParams,
-    FramePath,
-    bodmann_hammen,
-    connect_frames,
-    denied_angles,
-    path_eval,
-    r3_example,
-    random_frame,
-    trivial_non_retrievable,
-)
-from .errors import (
-    BadCardinality,
-    FramecertError,
-    FrameFormatError,
-    NotAFrame,
-    NotRetrievableInput,
-    SelectionFailed,
-    ShapeMismatch,
-)
-from .frameio import dump_frame, frame_from_dict, frame_to_dict, load_frame
-from .stability import (
-    GapAuditResult,
-    PerturbationTrial,
-    StabilityExperimentReport,
-    StabilityRadius,
-    l_matrix_gap_audit,
-    max_displacement,
-    perturb_frame,
-    spanning_safe_radius,
-    stability_experiment,
-    stability_radius,
-)
+from .certify import *  # noqa: F401,F403
+from .constructions import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .frameio import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # core
-    "ComplexFrame",
-    "RealifiedFrame",
-    "FrameOperatorSummary",
-    "j_matrix",
-    "realify",
-    "unrealify",
-    "build_phi",
-    "gradient_rows",
-    "r_matrices",
-    "r_matrix",
-    "l_matrix",
-    "frame_bounds",
-    "gram_squared",
-    "transform_frame",
-    "canonical_dual",
-    "parseval_version",
-    "rank_by_svd",
-    # certification
-    "TAU_PR",
-    "TAU_NPR",
-    "VERDICT_RETRIEVABLE",
-    "VERDICT_NOT_RETRIEVABLE",
-    "VERDICT_INCONCLUSIVE",
-    "CertificationReport",
-    "SearchDiagnostics",
-    "MarginEstimate",
-    "RankKernelResult",
-    "ComplementResult",
-    "CardinalityBounds",
-    "certify_complex",
-    "certify_real",
-    "complement_property",
-    "estimate_a0",
-    "hmw_lower_bound",
-    "injectivity_sampling_oracle",
-    "magnitude_separation_check",
-    "separation_sides",
-    "rank_kernel_check",
-    # stability
-    "StabilityRadius",
-    "StabilityExperimentReport",
-    "PerturbationTrial",
-    "GapAuditResult",
-    "stability_radius",
-    "spanning_safe_radius",
-    "perturb_frame",
-    "stability_experiment",
-    "l_matrix_gap_audit",
-    "max_displacement",
-    # constructions
-    "BodmannHammenParams",
-    "FramePath",
-    "bodmann_hammen",
-    "denied_angles",
-    "r3_example",
-    "trivial_non_retrievable",
-    "random_frame",
-    "connect_frames",
-    "path_eval",
-    # io
-    "load_frame",
-    "dump_frame",
-    "frame_to_dict",
-    "frame_from_dict",
-    # errors
-    "FramecertError",
-    "BadCardinality",
-    "FrameFormatError",
-    "NotAFrame",
-    "NotRetrievableInput",
-    "SelectionFailed",
-    "ShapeMismatch",
+__all__ = ["__version__"] + [
+    name
+    for module in (core, certify, stability, constructions, frameio, errors)
+    for name in module.__all__
 ]

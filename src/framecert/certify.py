@@ -514,6 +514,13 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
     return X, used, stopped
 
 
+def _check_budget(starts: int, max_iter: int) -> None:
+    """Refuse a margin search with no starts or no iterations."""
+    for name, value in (("starts", starts), ("max_iter", max_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
                    max_iter: int) -> list[MarginEstimate]:
     """``estimate_a0`` on each of the frames ``rfs`` (all of one shape),
@@ -523,10 +530,7 @@ def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     frame's rows, and the products are taken frame by frame
     (``_gradient_rows``), so each result is bit for bit the one
     ``estimate_a0`` gives on that frame alone."""
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_budget(starts, max_iter)
     per = max(1, STACK_ENTRIES // (rfs[0].m * rfs[0].two_n * starts))
     return [estimate for lo in range(0, len(rfs), per)
             for estimate in _search_chunk(rfs[lo:lo + per], starts, seeds[lo:lo + per],
@@ -775,7 +779,8 @@ def _certify_frames(frames: list[ComplexFrame], starts: int,
     """``certify_complex`` on each of ``frames`` (all of one shape), frame i
     with seed seeds[i].  The margins of the frames that need one are
     searched as one stack (``_margin_search``); a single frame goes through
-    ``estimate_a0``."""
+    ``estimate_a0``.  ``starts`` is checked before any precheck."""
+    _check_budget(starts, MAX_ITER)
     reports = [_precheck(fr) for fr in frames]
     todo = [i for i, rep in enumerate(reports) if rep is None]
     rfs = [RealifiedFrame.from_frame(frames[i]) for i in todo]

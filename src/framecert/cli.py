@@ -180,8 +180,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write text, ending in one newline, to stdout or to the output file."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

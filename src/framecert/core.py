@@ -27,7 +27,6 @@ from .errors import FramecertError, NotAFrame
 
 __all__ = [
     "RANK_RTOL",
-    "EIG_FLOOR_RTOL",
     "COND_CAP",
     "ComplexFrame",
     "RealifiedFrame",
@@ -51,11 +50,8 @@ __all__ = [
 # A singular value counts as zero when it is <= RANK_RTOL * largest.
 RANK_RTOL = 1e-9
 
-# Inverting the frame operator is refused when its smallest eigenvalue is
-# <= EIG_FLOOR_RTOL * largest.
-EIG_FLOOR_RTOL = 1e-12
-
-# Condition-number cap for transforms that must stay invertible.
+# Condition-number cap for the transforms and frame operators that are
+# inverted.
 COND_CAP = 1e12
 
 
@@ -320,13 +316,18 @@ def transform_frame(fr: ComplexFrame, T: np.ndarray, z: np.ndarray) -> ComplexFr
 
 
 def _checked_frame_operator(fr: ComplexFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the frame operator, rejecting near-singular S."""
-    S = frame_bounds(fr).S
-    w, U = np.linalg.eigh(S)
-    if w[-1] <= 0.0 or w[0] <= EIG_FLOOR_RTOL * w[-1]:
-        raise NotAFrame(
-            "frame operator is singular up to the eigenvalue floor; "
-            "the family does not span"
+    """Eigendecomposition of the frame operator S.
+
+    Raises NotAFrame when the family does not span, and FramecertError when
+    S has a condition number of at least COND_CAP.
+    """
+    if not fr.is_frame:
+        raise NotAFrame("the family does not span")
+    w, U = np.linalg.eigh(frame_bounds(fr).S)
+    if w[0] <= w[-1] / COND_CAP:
+        cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
+        raise FramecertError(
+            f"frame operator condition number {cond:g} exceeds cap {COND_CAP:g}"
         )
     return w, U
 

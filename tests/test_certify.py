@@ -283,6 +283,15 @@ def test_certify_cardinality_precheck():
     assert rep.a0 is None
 
 
+@pytest.mark.parametrize("starts", [0, -3])
+def test_starts_is_checked_before_the_prechecks(starts):
+    # the cardinality precheck would otherwise answer before the search
+    # ever looks at starts
+    for fr in (trivial_non_retrievable(3, 5), bodmann_hammen(BodmannHammenParams(n=2))):
+        with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
+            certify_complex(fr, starts=starts)
+
+
 def test_certify_single_vector_line_bypasses_cardinality_gate():
     # one nonzero vector in dimension one pins |x| exactly, so the count
     # precheck must not fire there

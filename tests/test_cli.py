@@ -303,3 +303,21 @@ def test_non_finite_settings_are_usage_errors(frames, capsys, bad):
     assert main(["experiment", "perturb", "--frame", frames["bh2"], "--trials", "1",
                  "--starts", "8", "--radius-fraction", bad]) == 64
     assert "radius_fraction must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--frame", "{bh2}", "--starts", "8"],
+    ["bounds", "--n", "4"],
+    ["construct", "--family", "bodmann-hammen", "--n", "2"],
+], ids=["certify", "bounds", "construct"])
+def test_output_file_gets_the_bytes_stdout_gets(frames, tmp_path, capsys, argv):
+    argv = [arg.format(**frames) for arg in argv]
+    main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    main([*argv, "--output", str(out)])
+    assert out.read_bytes() == printed.encode("utf-8")
+    if argv[0] == "construct":
+        dumped = tmp_path / "dumped.json"
+        dump_frame(bodmann_hammen(BodmannHammenParams(n=2)), str(dumped))
+        assert out.read_bytes() == dumped.read_bytes()

@@ -337,3 +337,34 @@ def test_dual_of_non_frame_is_refused():
         canonical_dual(deficient)
     with pytest.raises(NotAFrame):
         parseval_version(deficient)
+
+
+def test_ill_conditioned_frame_operator_is_refused_with_its_condition_number():
+    # the family spans, so it is a frame, but A/B = 7.5e-15 is past the cap
+    fr = ComplexFrame.from_vectors(np.array([[1, 0], [0, 1e-7], [1, 1e-7]]))
+    assert fr.is_frame
+    message = "frame operator condition number 1.3333.e\\+14 exceeds cap 1e\\+12"
+    for op in (canonical_dual, parseval_version):
+        with pytest.raises(FramecertError, match=message) as info:
+            op(fr)
+        assert not isinstance(info.value, NotAFrame)
+    # singular values down to 2e-9: the family spans, but about half of
+    # these rotations give S a computed smallest eigenvalue <= 0
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        fr = ComplexFrame.from_vectors(
+            np.array([[1, 0, 0], [0, 1, 0], [0, 0, 2e-9], [1, 1, 2e-9]]) @ Q)
+        assert fr.is_frame
+        with pytest.raises(FramecertError, match=r"number (inf|\d\S*) exceeds cap") as info:
+            canonical_dual(fr)
+        assert not isinstance(info.value, NotAFrame)
+
+
+def test_frame_operator_below_the_cap_still_inverts():
+    # singular values 1 and 1e-5: cond S = 1e10 < COND_CAP
+    fr = ComplexFrame.from_vectors(np.array([[1, 0], [0, 1e-5]]))
+    dual = canonical_dual(fr)
+    np.testing.assert_allclose(dual.vectors, [[1, 0], [0, 1e5]], rtol=1e-12)
+    summary = frame_bounds(parseval_version(fr))
+    assert abs(summary.A - 1.0) < 1e-10 and abs(summary.B - 1.0) < 1e-10

@@ -7,6 +7,7 @@ import pytest
 
 from framecert import certify as certify_module
 from framecert import (
+    VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
     BodmannHammenParams,
     ComplexFrame,
@@ -23,6 +24,7 @@ from framecert import (
     max_displacement,
     perturb_frame,
     r3_example,
+    random_frame,
     spanning_safe_radius,
     stability_experiment,
     stability_radius,
@@ -132,6 +134,38 @@ def test_stability_experiment_rows_match_separate_certifications(monkeypatch, n,
         alone = certify_complex(perturb_frame(fr, r, seed=5 + row.trial), starts=starts,
                                 seed=5 + row.trial)
         assert (row.verdict, row.a0_estimate) == (alone.verdict, alone.a0)
+
+
+def _bh_trials(n, starts, trials):
+    fr = bodmann_hammen(BodmannHammenParams(n=n))
+    rho = stability_radius(fr, certify_complex(fr, starts=starts, seed=5).a0).rho
+    return [perturb_frame(fr, 0.99 * rho, seed=5 + i) for i in range(trials)]
+
+
+@pytest.mark.parametrize("frames, starts, stack_entries, verdict", [
+    (lambda: _bh_trials(2, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
+    (lambda: _bh_trials(2, 16, 10), 16, 2 * 16 * 16, VERDICT_RETRIEVABLE),
+    (lambda: _bh_trials(4, 4, 4), 4, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
+    (lambda: [random_frame(3, 7, seed=s) for s in range(4)], 16,
+     certify_module.STACK_ENTRIES, VERDICT_NOT_RETRIEVABLE),
+], ids=["bh2", "bh2-chunks-of-two", "bh4-newton-phase", "random3-not-retrievable"])
+def test_stacked_certification_reproduces_whole_reports(monkeypatch, frames, starts,
+                                                        stack_entries, verdict):
+    # the experiment's trial rows carry only verdict and a0; the stacked
+    # path must reproduce every field of each frame's own certify_complex
+    # report, including the witness polish that decides NotRetrievable
+    monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
+    frames = frames()
+    seeds = [11 + i for i in range(len(frames))]
+    reports = certify_module._certify_frames(frames, starts, seeds)
+    for fr, seed, stacked in zip(frames, seeds, reports):
+        alone = certify_complex(fr, starts=starts, seed=seed)
+        assert (stacked.verdict, stacked.a0) == (alone.verdict, alone.a0)
+        for field in ("witness_xi", "kernel_excess"):
+            a, b = getattr(stacked, field), getattr(alone, field)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert stacked.diagnostics == alone.diagnostics
+    assert {rep.verdict for rep in reports} == {verdict}
 
 
 def test_stability_experiment_perturbs_through_the_module_name_in_trial_order(monkeypatch):
