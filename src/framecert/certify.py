@@ -17,13 +17,13 @@ Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
 
-Verdict thresholds:
+Verdicts, decided in this order at the witness (polished further first
+when a0 < TAU_NPR = 1e-10):
 
-* a0 > TAU_PR (1e-6): Retrievable, after cross-validation of the magnitude
-  separation inequality on random pairs
-* a0 < TAU_NPR (1e-10): NotRetrievable only when, after a further polish of
-  the witness, its second eigenvalue is zero to rounding (at most 2n eps
-  times the largest), which also makes the kernel at least two dimensional
+* its second eigenvalue is zero to rounding (at most 2n eps times the
+  largest), so the kernel is at least two dimensional: NotRetrievable
+* a0 > TAU_PR (1e-6), and still so after cross-validation of the
+  magnitude separation inequality on random pairs: Retrievable
 * anything else: Inconclusive
 
 The deliberately wide gap between the two thresholds is the honesty band: a
@@ -206,8 +206,9 @@ class CertificationReport:
     (too few vectors), "not-a-frame", "eigen" (spectral margin), or
     "complement" (real bipartition check).  ``witness_xi`` is the unit
     realified direction achieving the reported margin; ``kernel_excess`` is
-    a direction at which the kernel of r_matrix was verified to have
-    dimension >= 2, when one was found.  ``failing_partition`` is set only
+    set only on an eigen NotRetrievable report, to that witness, where the
+    second eigenvalue of r_matrix is zero to rounding, so its kernel has
+    dimension >= 2.  ``failing_partition`` is set only
     by the complement route, ``diagnostics`` (the margin search's
     convergence counts) only by the eigen route.
     """
@@ -636,8 +637,8 @@ def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
     An eigenvalue counts as zero when it is <= RANK_RTOL times the largest.
     ``kernel_is_span_jxi`` is True exactly when the kernel is one
     dimensional and within KERNEL_ANGLE_TOL radians of the phase line
-    span{J xi}.  A kernel of dimension >= 2 is the rank-deficiency witness
-    used to back a NotRetrievable verdict.
+    span{J xi}.  An eigen NotRetrievable verdict asserts a kernel of
+    dimension >= 2 at its ``kernel_excess``.
     """
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
     if np.linalg.norm(xi) == 0.0:
@@ -739,23 +740,26 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Estimate the margin with ``estimate_a0`` at its default budget
-       MAX_ITER.  Above TAU_PR the verdict is Retrievable after the
-       separation inequality survives CROSS_CHECK_PAIRS random pairs,
-       drawn from a generator seeded with ``seed`` and checked in one
-       batch by ``separation_sides``; a violation downgrades the margin to
-       the worst ratio of the two sides over the pairs whose right factor
-       exceeds 1e-12, and the verdict is re-decided.  Below TAU_NPR the
-       witness is first polished further with what is left of its start's
-       budget, and the margin becomes the second eigenvalue there.  The
-       verdict is then NotRetrievable only when that eigenvalue is zero to
-       rounding, at most 2n eps times the largest eigenvalue of R at the
-       witness, which leaves rank_kernel_check a kernel of dimension >= 2;
-       a small margin that double precision cannot tell from zero is
-       never enough.  Everything else is Inconclusive.
+       MAX_ITER.  Below TAU_NPR the witness is first polished further with
+       what is left of its start's budget, and the margin becomes the
+       second eigenvalue there.  One ``eigvalsh`` of R at the witness then
+       decides, in this order:
+
+       * the second eigenvalue is zero to rounding, at most 2n eps times
+         the largest, so the kernel is at least two dimensional:
+         NotRetrievable, with the witness as ``kernel_excess``;
+       * a0 > TAU_PR: the margin becomes the smaller of a0 and the worst
+         ratio of the two sides of the separation inequality over
+         CROSS_CHECK_PAIRS random pairs (drawn from a generator seeded with
+         ``seed``, checked in one batch by ``separation_sides``) whose
+         right factor exceeds 1e-12.  Retrievable if that still exceeds
+         TAU_PR, Inconclusive if not;
+       * otherwise Inconclusive: a small margin that double precision
+         cannot tell from zero is never enough.
 
     The report carries the search's ``diagnostics``, including the
-    iterations of that witness polish.  The margin search is scale
-    equivariant, but TAU_PR, TAU_NPR and the cross-check slack are
+    iterations of that witness polish.  The margin search and the
+    zero-to-rounding test are scale equivariant, but TAU_PR and TAU_NPR are
     absolute, so rescaling a frame can move its margin across one.
     """
     return _certify_frames([fr], starts, [seed])[0]
@@ -799,31 +803,27 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
     """``certify_complex`` step 3 after the margin search."""
     a0, witness = estimate
     diagnostics = estimate.diagnostics
-    resolved = False
     if a0 < TAU_NPR:
-        # polish the witness with what is left of its start's budget, then
-        # ask whether its second eigenvalue is zero to rounding
+        # polish the witness with what is left of its start's budget
         xi, used, stopped = _polish(rf, witness[None, :], MAX_ITER - diagnostics.best_iterations)
         diagnostics = replace(diagnostics, witness_polish_iterations=int(used[0]),
                               best_hit_budget=diagnostics.best_hit_budget or not stopped[0])
         witness = xi[0] / np.linalg.norm(xi[0])
-        spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
+    spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
+    if a0 < TAU_NPR:
         a0 = float(max(spectrum[1], 0.0))
-        resolved = spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
-    kernel_info = rank_kernel_check(rf, witness)
-    kernel_excess = witness if kernel_info.kernel_dim >= 2 else None
 
-    if a0 > TAU_PR:
+    kernel_excess = None
+    if spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]:
+        # the second eigenvalue is zero to rounding: a kernel beyond J xi
+        verdict = VERDICT_NOT_RETRIEVABLE
+        kernel_excess = witness
+    elif a0 > TAU_PR:
         X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, fr.n)
         left, factor = separation_sides(fr, X, Y)
-        violated = not np.all(_separation_holds(left, factor, a0))
         usable = factor > 1e-12
-        worst_ratio = float(np.min(left[usable] / factor[usable], initial=np.inf))
-        if violated and worst_ratio < a0:
-            a0 = worst_ratio
+        a0 = min(a0, float(np.min(left[usable] / factor[usable], initial=np.inf)))
         verdict = VERDICT_RETRIEVABLE if a0 > TAU_PR else VERDICT_INCONCLUSIVE
-    elif resolved and kernel_excess is not None:
-        verdict = VERDICT_NOT_RETRIEVABLE
     else:
         verdict = VERDICT_INCONCLUSIVE
 

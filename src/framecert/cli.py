@@ -9,17 +9,17 @@ Exit codes: 0 Retrievable / success, 1 NotRetrievable or a non retrievable
 input where retrievability was required, 2 Inconclusive, 64 usage, IO, or
 malformed input.
 
-The default seed is 42; the environment variable FRAME_CERTIFY_SEED
-overrides it, and an explicit --seed overrides both.
+certify routes by the frame file's ``field`` label: a real frame goes to the
+complement property, a complex one to the spectral margin.  To certify a
+real frame treated over C, label it complex.  Every JSON report carries the
+parsed command line, without --output, as its ``config`` envelope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +46,7 @@ from .errors import FramecertError, NotRetrievableInput
 from .frameio import frame_to_dict, load_frame
 from .stability import stability_experiment, stability_radius
 
-__all__ = ["RunConfig", "build_parser", "main"]
-
-DEFAULT_SEED = 42
-DEFAULT_STARTS = 64
-DEFAULT_TRIALS = 100
-DEFAULT_RADIUS_FRACTION = 0.99
-SEED_ENV_VAR = "FRAME_CERTIFY_SEED"
+__all__ = ["build_parser", "main"]
 
 EXIT_USAGE = 64
 VERDICT_EXIT = {
@@ -60,31 +54,6 @@ VERDICT_EXIT = {
     VERDICT_NOT_RETRIEVABLE: 1,
     VERDICT_INCONCLUSIVE: 2,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters, embedded verbatim as the ``config`` envelope
-    of every JSON report, so a run can be replayed from its output."""
-
-    seed: int = DEFAULT_SEED
-    starts: int = DEFAULT_STARTS
-    trials: int = DEFAULT_TRIALS
-    radius_fraction: float = DEFAULT_RADIUS_FRACTION
-    output_format: str = "json"
-    strict_angles: bool = False
-
-    def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (np.isfinite(self.radius_fraction) and self.radius_fraction > 0.0):
-            raise ValueError(
-                f"radius_fraction must be positive and finite, got {self.radius_fraction}"
-            )
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"output_format must be json or csv, got {self.output_format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,18 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"rng seed (default {DEFAULT_SEED}, or ${SEED_ENV_VAR})")
+        p.add_argument("--seed", type=int, default=42, help="rng seed (default %(default)s)")
 
     def add_solver(p):
-        p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
+        p.add_argument("--starts", type=int, default=64)
 
     def add_output(p):
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     p = sub.add_parser("certify", help="certify a frame file")
     p.add_argument("--frame", required=True, help="frame JSON file")
-    p.add_argument("--method", choices=["auto", "eigen", "complement"], default="auto")
     add_solver(p)
     add_seed(p)
     add_output(p)
@@ -140,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True)
     p.add_argument("--frame2", default=None, help="end frame (path only)")
     p.add_argument("--grid", type=int, default=21, help="path sample count")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--radius-fraction", type=float, default=DEFAULT_RADIUS_FRACTION)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--radius-fraction", type=float, default=0.99)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_solver(p)
     add_seed(p)
@@ -152,31 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     return parser
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if not hasattr(args, "seed"):
-        return DEFAULT_SEED
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_SEED
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        seed=_resolve_seed(args),
-        starts=getattr(args, "starts", DEFAULT_STARTS),
-        trials=getattr(args, "trials", DEFAULT_TRIALS),
-        radius_fraction=getattr(args, "radius_fraction", DEFAULT_RADIUS_FRACTION),
-        output_format=getattr(args, "format", "json"),
-        strict_angles=getattr(args, "strict_angles", False),
-    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -190,43 +132,43 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _wrap(config: RunConfig, report: dict) -> str:
+def _wrap(args: argparse.Namespace, report: dict) -> str:
+    """The JSON report with the command line that produced it, minus
+    --output, as its ``config`` envelope."""
+    config = {key: value for key, value in vars(args).items() if key != "output"}
     return json.dumps(
-        {"version": __version__, "config": asdict(config), "report": report},
+        {"version": __version__, "config": config, "report": report},
         indent=2,
     )
 
 
-def _cmd_certify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_certify(args: argparse.Namespace) -> int:
     fr = load_frame(args.frame)
-    method = args.method
-    if method == "auto":
-        method = "complement" if fr.field == "real" else "eigen"
-    if method == "complement":
+    if fr.field == "real":
         report = certify_real(fr)
     else:
-        report = certify_complex(fr, starts=config.starts, seed=config.seed)
-    _emit(_wrap(config, report.to_dict()), args.output)
+        report = certify_complex(fr, starts=args.starts, seed=args.seed)
+    _emit(_wrap(args, report.to_dict()), args.output)
     return VERDICT_EXIT[report.verdict]
 
 
-def _cmd_rho(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_rho(args: argparse.Namespace) -> int:
     fr = load_frame(args.frame)
-    report = certify_complex(fr, starts=config.starts, seed=config.seed)
+    report = certify_complex(fr, starts=args.starts, seed=args.seed)
     if report.verdict != VERDICT_RETRIEVABLE:
-        _emit(_wrap(config, {"certification": report.to_dict(), "stability_radius": None}),
+        _emit(_wrap(args, {"certification": report.to_dict(), "stability_radius": None}),
               args.output)
         return VERDICT_EXIT[report.verdict]
     radius = stability_radius(fr, report.a0)
-    _emit(_wrap(config, {"certification": report.to_dict(),
-                         "stability_radius": radius.to_dict()}), args.output)
+    _emit(_wrap(args, {"certification": report.to_dict(),
+                       "stability_radius": radius.to_dict()}), args.output)
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "bodmann-hammen":
         params = BodmannHammenParams(n=args.n, a=args.a, angle_variant=args.angle_variant)
-        fr = bodmann_hammen(params, strict=config.strict_angles)
+        fr = bodmann_hammen(params, strict=args.strict_angles)
     elif args.family == "r3-example":
         fr = r3_example()
     elif args.family == "trivial":
@@ -234,22 +176,22 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
         fr = trivial_non_retrievable(args.n, m)
     else:
         m = args.m if args.m is not None else 4 * args.n - 4
-        fr = random_frame(args.n, m, seed=config.seed)
+        fr = random_frame(args.n, m, seed=args.seed)
     _emit(json.dumps(frame_to_dict(fr), indent=2), args.output)
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
     fr = load_frame(args.frame)
     if args.kind == "perturb":
         report = stability_experiment(
-            fr, trials=config.trials, radius_fraction=config.radius_fraction,
-            seed=config.seed, starts=config.starts,
+            fr, trials=args.trials, radius_fraction=args.radius_fraction,
+            seed=args.seed, starts=args.starts,
         )
-        if config.output_format == "csv":
+        if args.format == "csv":
             _emit(report.to_csv(), args.output)
         else:
-            _emit(_wrap(config, report.to_dict()), args.output)
+            _emit(_wrap(args, report.to_dict()), args.output)
         return 0
     if args.frame2 is None:
         raise ValueError("path experiment needs --frame2")
@@ -270,13 +212,13 @@ def _cmd_experiment(args: argparse.Namespace, config: RunConfig) -> int:
         "min_lower_bound": min(lower),
         "endpoints_exact": {"start": start_exact, "end": end_exact},
     }
-    _emit(_wrap(config, report), args.output)
+    _emit(_wrap(args, report), args.output)
     return 0
 
 
-def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> int:
     bounds = hmw_lower_bound(args.n)
-    _emit(_wrap(config, bounds.to_dict()), args.output)
+    _emit(_wrap(args, bounds.to_dict()), args.output)
     return 0
 
 
@@ -296,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except NotRetrievableInput as exc:
         print(f"framecert: {exc}", file=sys.stderr)
         return 1

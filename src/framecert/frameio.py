@@ -71,7 +71,7 @@ def frame_from_dict(doc: Any) -> ComplexFrame:
         raise FrameFormatError("field 'vectors' must be a list of rows")
     if len(rows) != m:
         raise FrameFormatError(f"field 'vectors' has {len(rows)} rows, expected m={m}")
-    vectors = np.zeros((m, n), dtype=np.complex128)
+    entries = []
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise FrameFormatError(
@@ -84,7 +84,10 @@ def frame_from_dict(doc: Any) -> ComplexFrame:
                     f"field 'vectors[{k}][{j}]' has a nonzero imaginary part "
                     "in a frame declared real"
                 )
-            vectors[k, j] = entry
+            entries.append(entry)
+    # every row is checked before the array is allocated, so a huge n with
+    # short rows is a format error rather than an allocation
+    vectors = np.array(entries, dtype=np.complex128).reshape(m, n)
     return ComplexFrame(n=n, m=m, vectors=vectors, field=field)
 
 

@@ -334,6 +334,26 @@ def test_certify_inconclusive_band():
     assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
+def test_inconclusive_report_carries_no_kernel_excess():
+    # only a NotRetrievable verdict asserts a kernel beyond J xi
+    rep = certify_complex(bh(3, "verbatim"), starts=8)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.kernel_excess is None
+
+
+@pytest.mark.parametrize("k", range(-12, 13, 2))
+def test_a_witness_zero_to_rounding_is_not_retrievable_at_every_scale(k):
+    # lambda_2 <= 2n eps lambda_max is tested before TAU_PR, so a large
+    # scale cannot lift a kernel point's rounding noise above the threshold
+    for fr in (trivial_non_retrievable(2, 4), trivial_non_retrievable(3, 10),
+               ComplexFrame.from_vectors(r3_example().vectors, field="complex")):
+        scaled = ComplexFrame.from_vectors(fr.vectors * 2.0 ** k, field="complex")
+        for starts in (2, 8):
+            rep = certify_complex(scaled, starts=starts)
+            assert rep.verdict == VERDICT_NOT_RETRIEVABLE
+            assert rep.kernel_excess is not None
+
+
 def test_certify_real_frame_treated_over_c_is_not_retrievable():
     # conjugation preserves all magnitudes against real vectors, so a real
     # frame can never separate complex rays
@@ -380,6 +400,9 @@ def test_random_frame_below_the_cardinality_bound_is_not_retrievable():
     assert rep.verdict == VERDICT_NOT_RETRIEVABLE
     spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), rep.kernel_excess))
     assert spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
+    # scaled by 1000, its margin noise is above TAU_PR but still zero to rounding
+    scaled = ComplexFrame.from_vectors(fr.vectors * 1000.0)
+    assert certify_complex(scaled, starts=64).verdict == VERDICT_NOT_RETRIEVABLE
 
 
 def test_verdict_invariant_under_equivalence_transforms():

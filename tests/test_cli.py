@@ -1,4 +1,4 @@
-"""Command line interface: exit codes, report envelopes, seed resolution."""
+"""Command line interface: exit codes, report envelopes, label routing."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from framecert import (
     r3_example,
     trivial_non_retrievable,
 )
-from framecert.cli import RunConfig, main
+from framecert.cli import main
 
 
 @pytest.fixture()
@@ -79,18 +79,24 @@ def test_certify_exit_codes_by_verdict(frames, capsys, tmp_path):
     assert doc["report"]["verdict"] == "Inconclusive"
 
 
-def test_certify_forced_method_overrides_routing(frames, capsys):
-    code, doc = run_json(capsys, ["certify", "--frame", frames["r3"],
-                                  "--method", "eigen", "--starts", "8"])
-    assert doc["report"]["method"] == "eigen"
-    # a real frame treated over C is not retrievable
-    assert code == 1
+def test_certify_forced_method_overrides_routing(tmp_path, capsys):
+    # the file's field label is the only thing that picks the route; a real
+    # frame treated over C is not retrievable
+    vectors = r3_example().vectors
+    for field, method, expected in (("complex", "eigen", 1), ("real", "complement", 0)):
+        p = tmp_path / f"r3-{field}.json"
+        dump_frame(ComplexFrame.from_vectors(vectors, field=field), str(p))
+        code, doc = run_json(capsys, ["certify", "--frame", str(p), "--starts", "8"])
+        assert doc["report"]["method"] == method
+        assert code == expected
 
 
 def test_certify_complement_on_complex_frame_is_usage_error(frames, capsys):
+    # there is no --method option; the library still refuses complex frames
+    # (test_certify.py::test_complement_property_rejects_complex_and_oversized_frames)
     code = main(["certify", "--frame", frames["bh2"], "--method", "complement"])
     assert code == 64
-    assert "real" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_certify_complement_decides_thirty_vectors_in_r3(tmp_path, capsys):
@@ -104,7 +110,7 @@ def test_certify_complement_decides_thirty_vectors_in_r3(tmp_path, capsys):
     for name, fr, expected in (("holds", holds, 0), ("fails", fails, 1)):
         p = tmp_path / f"{name}.json"
         dump_frame(fr, str(p))
-        code, doc = run_json(capsys, ["certify", "--frame", str(p), "--method", "complement"])
+        code, doc = run_json(capsys, ["certify", "--frame", str(p)])
         assert code == expected
         assert doc["report"]["method"] == "complement"
     assert doc["report"]["failing_partition"] == [int(b) for b in on_first]
@@ -226,9 +232,10 @@ def test_version_flag(capsys):
 
 
 def test_seed_env_override(frames, capsys, monkeypatch):
+    # --seed is the only way to set the seed; the environment is not read
     monkeypatch.setenv("FRAME_CERTIFY_SEED", "99")
-    _, doc = run_json(capsys, ["certify", "--frame", frames["triv"], "--starts", "4"])
-    assert doc["config"]["seed"] == 99
+    code, doc = run_json(capsys, ["certify", "--frame", frames["triv"], "--starts", "4"])
+    assert (code, doc["config"]["seed"]) == (1, 42)
     _, doc = run_json(capsys, ["certify", "--frame", frames["triv"],
                                "--starts", "4", "--seed", "5"])
     assert doc["config"]["seed"] == 5
@@ -236,7 +243,8 @@ def test_seed_env_override(frames, capsys, monkeypatch):
 
 def test_seed_env_invalid(frames, capsys, monkeypatch):
     monkeypatch.setenv("FRAME_CERTIFY_SEED", "not-a-number")
-    assert main(["certify", "--frame", frames["triv"], "--starts", "4"]) == 64
+    code, doc = run_json(capsys, ["certify", "--frame", frames["triv"], "--starts", "4"])
+    assert (code, doc["config"]["seed"]) == (1, 42)
 
 
 def test_output_file_writing(frames, tmp_path, capsys):
@@ -264,6 +272,14 @@ def test_empty_vector_list_is_usage_error(tmp_path, capsys):
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"n": 2, "m": 0, "field": "complex", "vectors": []}))
     assert main(["certify", "--frame", str(p)]) == 64
+
+
+def test_huge_dimension_with_a_short_row_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"n": 10**12, "m": 1, "field": "complex",
+                             "vectors": [[[1.0, 0.0]]]}))
+    assert main(["certify", "--frame", str(p)]) == 64
+    assert "vectors[0]" in capsys.readouterr().err
 
 
 def test_report_survives_serialization_round_trip(tmp_path, capsys):
@@ -294,12 +310,19 @@ def test_config_envelope_records_the_solver_settings(frames, capsys):
     # the margin search stops relative to trace R(xi); there is no tolerance to set
     assert main(["certify", "--frame", frames["bh2"], "--tol", "1e-9"]) == 64
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # the envelope is the parsed command line without --output
+    _, doc = run_json(capsys, ["bounds", "--n", "4"])
+    assert doc["config"] == {"command": "bounds", "n": 4}
+    _, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], *argv_tail])
+    assert doc["config"] == {"command": "certify", "frame": frames["bh2"],
+                             "starts": 8, "seed": 3}
+    _, doc = run_json(capsys, ["experiment", "path", "--frame", frames["bh2"],
+                               "--frame2", frames["triv"], "--grid", "3"])
+    assert (doc["config"]["grid"], doc["config"]["frame2"]) == (3, frames["triv"])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_settings_are_usage_errors(frames, capsys, bad):
-    with pytest.raises(ValueError, match="finite"):
-        RunConfig(radius_fraction=float(bad))
     assert main(["experiment", "perturb", "--frame", frames["bh2"], "--trials", "1",
                  "--starts", "8", "--radius-fraction", bad]) == 64
     assert "radius_fraction must be positive and finite" in capsys.readouterr().err

@@ -96,3 +96,10 @@ def test_load_valid_json_wrong_shape(tmp_path):
                                 "vectors": [[[1.0, 0.0]]]}))
     with pytest.raises(FrameFormatError):
         load_frame(str(path))
+
+
+def test_rows_are_checked_before_the_array_is_allocated():
+    # n = 1e12 would need terabytes; the short row is reported instead
+    doc = {"n": 10**12, "m": 1, "field": "complex", "vectors": [[[1.0, 0.0]]]}
+    with pytest.raises(FrameFormatError, match=r"vectors\[0\]"):
+        frame_from_dict(doc)
