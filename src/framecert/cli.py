@@ -13,6 +13,10 @@ certify routes by the frame file's ``field`` label: a real frame goes to the
 complement property, a complex one to the spectral margin.  To certify a
 real frame treated over C, label it complex.  Every JSON report carries the
 parsed command line, without --output, as its ``config`` envelope.
+
+Each command imports the library modules it runs inside its handler, so a
+process loads only those: ``bounds`` loads no numpy, and ``construct``
+loads neither the certifier nor the stability module.
 """
 
 from __future__ import annotations
@@ -21,39 +25,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from ._version import __version__
-from .certify import (
-    VERDICT_INCONCLUSIVE,
-    VERDICT_NOT_RETRIEVABLE,
-    VERDICT_RETRIEVABLE,
-    certify_complex,
-    certify_real,
-    hmw_lower_bound,
-)
-from .constructions import (
-    BodmannHammenParams,
-    bodmann_hammen,
-    connect_frames,
-    path_eval,
-    r3_example,
-    random_frame,
-    trivial_non_retrievable,
-)
-from .core import frame_bounds
 from .errors import FramecertError, NotRetrievableInput
-from .frameio import frame_to_dict, load_frame
-from .stability import stability_experiment, stability_radius
 
 __all__ = ["build_parser", "main"]
 
 EXIT_USAGE = 64
-VERDICT_EXIT = {
-    VERDICT_RETRIEVABLE: 0,
-    VERDICT_NOT_RETRIEVABLE: 1,
-    VERDICT_INCONCLUSIVE: 2,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,23 +119,38 @@ def _wrap(args: argparse.Namespace, report: dict) -> str:
     )
 
 
+def _verdict_exit(verdict: str) -> int:
+    from .certify import VERDICT_INCONCLUSIVE, VERDICT_NOT_RETRIEVABLE, VERDICT_RETRIEVABLE
+
+    return {VERDICT_RETRIEVABLE: 0, VERDICT_NOT_RETRIEVABLE: 1, VERDICT_INCONCLUSIVE: 2}[verdict]
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import certify_complex, certify_real
+    from .frameio import load_frame
+
     fr = load_frame(args.frame)
     if fr.field == "real":
         report = certify_real(fr)
     else:
         report = certify_complex(fr, starts=args.starts, seed=args.seed)
     _emit(_wrap(args, report.to_dict()), args.output)
-    return VERDICT_EXIT[report.verdict]
+    return _verdict_exit(report.verdict)
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
+    from .certify import certify_complex
+    from .frameio import load_frame
+
     fr = load_frame(args.frame)
     report = certify_complex(fr, starts=args.starts, seed=args.seed)
-    if report.verdict != VERDICT_RETRIEVABLE:
+    code = _verdict_exit(report.verdict)
+    if code != 0:
         _emit(_wrap(args, {"certification": report.to_dict(), "stability_radius": None}),
               args.output)
-        return VERDICT_EXIT[report.verdict]
+        return code
+    from .stability import stability_radius
+
     radius = stability_radius(fr, report.a0)
     _emit(_wrap(args, {"certification": report.to_dict(),
                        "stability_radius": radius.to_dict()}), args.output)
@@ -166,6 +158,15 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import (
+        BodmannHammenParams,
+        bodmann_hammen,
+        r3_example,
+        random_frame,
+        trivial_non_retrievable,
+    )
+    from .frameio import frame_to_dict
+
     if args.family == "bodmann-hammen":
         params = BodmannHammenParams(n=args.n, a=args.a, angle_variant=args.angle_variant)
         fr = bodmann_hammen(params, strict=args.strict_angles)
@@ -182,8 +183,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .frameio import load_frame
+
     fr = load_frame(args.frame)
     if args.kind == "perturb":
+        from .stability import stability_experiment
+
         report = stability_experiment(
             fr, trials=args.trials, radius_fraction=args.radius_fraction,
             seed=args.seed, starts=args.starts,
@@ -197,6 +202,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError("path experiment needs --frame2")
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
+    import numpy as np
+
+    from .constructions import connect_frames, path_eval
+    from .core import frame_bounds
+
     fr2 = load_frame(args.frame2)
     path = connect_frames(fr, fr2)
     ts = [(-1.0 + 2.0 * i / (args.grid - 1)) for i in range(args.grid)]
@@ -217,6 +227,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import hmw_lower_bound
+
     bounds = hmw_lower_bound(args.n)
     _emit(_wrap(args, bounds.to_dict()), args.output)
     return 0

@@ -105,6 +105,10 @@ def load_frame(path: str) -> ComplexFrame:
             doc = json.load(fh)
     except OSError as exc:
         raise FrameFormatError(f"cannot read frame file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FrameFormatError(f"frame file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameFormatError(f"frame file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameFormatError("frame file nests JSON too deeply to parse") from exc
     return frame_from_dict(doc)

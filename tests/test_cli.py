@@ -282,6 +282,15 @@ def test_huge_dimension_with_a_short_row_is_usage_error(tmp_path, capsys):
     assert "vectors[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"n": 1}', b"[" * 100_000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_undecodable_frame_file_is_usage_error(tmp_path, capsys, content):
+    p = tmp_path / "frame.json"
+    p.write_bytes(content)
+    assert main(["certify", "--frame", str(p)]) == 64
+    assert capsys.readouterr().err.startswith("framecert: frame file ")
+
+
 def test_report_survives_serialization_round_trip(tmp_path, capsys):
     out = tmp_path / "frame.json"
     code = main(["construct", "--family", "bodmann-hammen", "--n", "2",

@@ -103,3 +103,14 @@ def test_rows_are_checked_before_the_array_is_allocated():
     doc = {"n": 10**12, "m": 1, "field": "complex", "vectors": [[[1.0, 0.0]]]}
     with pytest.raises(FrameFormatError, match=r"vectors\[0\]"):
         frame_from_dict(doc)
+
+
+@pytest.mark.parametrize("content,fragment", [
+    (b'\xff\xfe{"n": 1}', "not UTF-8"),
+    (b"[" * 100_000, "too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_undecodable_files_are_format_errors(tmp_path, content, fragment):
+    path = tmp_path / "frame.json"
+    path.write_bytes(content)
+    with pytest.raises(FrameFormatError, match=fragment):
+        load_frame(str(path))
