@@ -103,8 +103,14 @@ COMPLEMENT_MAX_CANDIDATES = 20_000
 # Phase 1 of ``estimate_a0``: batched block-descent iterations before the
 # starts still descending switch to the Riemannian Newton method, and the
 # decrease per iteration, relative to trace R(xi), below which a start
-# stops there.
-BLOCK_ITERS = 100
+# stops there.  Block descent converges only linearly, so it just seeds
+# basins, and the Newton phase finishes the starts still descending in a
+# few steps.  Certifying BH n=2..6 (both angle variants) and 28 random
+# frames (n=3..6, m = 4n-2 and 4n-5) at 64 starts took 9.5 s with 100
+# iterations, 6.3 s with 30 and 5.8 s with 20; the random frames alone
+# 5.8 -> 2.6 s (2 cores, x86, BLAS on one thread).  No random frame's
+# Retrievable a0 rose.
+BLOCK_ITERS = 20
 BLOCK_RTOL = 1e-12
 
 # Phase 2: the floor, relative to trace R(xi), on the eigenvalue gaps and
@@ -119,6 +125,12 @@ STALL_WINDOW = 25
 
 # Iteration budget per start of ``estimate_a0``, over both of its phases.
 MAX_ITER = 2000
+
+# A start ends in the best start's basin when its final lambda_2 is within
+# BASIN_RTOL of the best one's and its rank-two matrix (``_basin_counts``)
+# has overlap at least 1 - BASIN_OVERLAP_TOL with the best one's.
+BASIN_RTOL = 1e-2
+BASIN_OVERLAP_TOL = 1e-6
 
 # Entries of the largest (rows, m, 2n) array of one stacked margin search:
 # the trials of ``stability_experiment`` are searched together in chunks of
@@ -156,6 +168,9 @@ class SearchDiagnostics:
     the batched iterations of each phase (a Newton step is one iteration),
     ``best_iterations`` the iterations of the start that gave the margin,
     and ``best_hit_budget`` says whether that start used up the budget.
+    ``best_basin_starts`` counts the starts, the best one included, that
+    end in the best start's basin (``_basin_counts``); a count of one says
+    the margin rests on a single start.
     ``witness_polish_iterations`` counts the further polish that
     ``certify_complex`` gives a witness below TAU_NPR.  Counts only, so
     reruns give identical reports.
@@ -169,6 +184,7 @@ class SearchDiagnostics:
     polish_iterations: int
     best_iterations: int
     best_hit_budget: bool
+    best_basin_starts: int
     witness_polish_iterations: int = 0
 
     def to_dict(self) -> dict:
@@ -423,10 +439,12 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
     step makes two eigh calls, one for the Hessian and one for f at the new
     point, plus one per halving.
 
-    Returns the final rows, the steps each run took, and whether each
-    stopped by one of these rules rather than by spending the budget.
+    Returns the final rows, the eigenvector of lambda_2 at each of them,
+    the steps each run took, and whether each stopped by one of these rules
+    rather than by spending the budget.
     """
     X = np.array(X, dtype=np.float64)
+    W = np.empty_like(X)
     b = X.shape[0]
     frame = np.zeros(b, dtype=np.intp) if isinstance(rf, RealifiedFrame) else rf.frame
     used = np.zeros(b, dtype=np.int64)
@@ -442,7 +460,7 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
     def retire(stop):
         nonlocal idx, x, rows, vals, vecs, T, f_then
         stopped[idx[stop]] = True
-        X[idx[stop]] = x[stop]
+        X[idx[stop]], W[idx[stop]] = x[stop], vecs[stop, :, 0]
         keep = ~stop
         idx, x, rows = idx[keep], x[keep], _take(rows, keep)
         vals, vecs, T, f_then = vals[keep], vecs[keep], T[keep], f_then[keep]
@@ -491,8 +509,8 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
         np.minimum.at(best, frame[idx], vals[:, 0])
         if failed.any():
             retire(failed)
-    X[idx] = x
-    return X, used, stopped
+    X[idx], W[idx] = x, vecs[:, :, 0]
+    return X, W, used, stopped
 
 
 def _check_budget(starts: int, max_iter: int) -> None:
@@ -518,6 +536,36 @@ def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
                                           max_iter)]
 
 
+def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, best: np.ndarray,
+                  starts: int) -> np.ndarray:
+    """For each frame of a chunk of ``_search_chunk``, the starts (the best
+    one included) that end in the basin of its best row ``best``.
+
+    A start counts when its final lambda_2 is at most BASIN_RTOL times
+    |lambda_2| above the best one's and its rank-two matrix M = x w* + w x*
+    satisfies |<M, M_best>| >= 1 - BASIN_OVERLAP_TOL for Frobenius-unit M.
+    Here x is the start's final direction and w its partner in the
+    search's last step (the block half step's direction, or the lambda_2
+    eigenvector at a Newton run's end), both as unit vectors in C^n.
+    lambda_2(R(xi)) = min_w sum_k (f_k* M f_k)^2 / 4 depends on (x, w) only
+    through M, so a minimum is one M but a curve of directions x: starts
+    in one basin can end at directions x far apart.  Every step is row by
+    row, so a stacked search counts as the searches on its frames alone.
+    """
+    frame = np.arange(finals.size) // starts
+    top = finals[best[frame]]
+    near = np.flatnonzero(finals - top <= BASIN_RTOL * np.abs(top))
+    x, w = _unit_rows(X[near]), _unit_rows(W[near])
+    n = x.shape[1] // 2
+    z, v = x[:, :n] + 1j * x[:, n:], w[:, :n] + 1j * w[:, n:]
+    M = z[:, :, None] * v[:, None, :].conj()
+    M = (M + np.swapaxes(M, 1, 2).conj()).reshape(near.size, -1)
+    M /= np.linalg.norm(M, axis=1, keepdims=True)
+    own = M[np.searchsorted(near, best)][frame[near]]
+    overlap = np.abs((M * own.conj()).sum(axis=1))
+    return np.bincount(frame[near][overlap >= 1.0 - BASIN_OVERLAP_TOL], minlength=best.size)
+
+
 def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
                   max_iter: int) -> list[MarginEstimate]:
     """The two phases of ``estimate_a0`` on one chunk of ``_margin_search``,
@@ -527,6 +575,8 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         tuple(rfs), np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]),
         np.repeat(np.arange(frames), starts))
     X = np.stack([_start_direction(s + i, rfs[0].two_n) for s in seeds for i in range(starts)])
+    # each row's partner w in its last step, for ``_basin_counts``
+    W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
     iterations = np.zeros(X.shape[0], dtype=np.int64)
     # the rows still descending (row r is a start of frame r // starts), and their frames
@@ -534,9 +584,9 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     for _ in range(min(BLOCK_ITERS, max_iter)):
         if active.size == 0:
             break
-        Xa, _, _ = _block_min_eig(live, X[active])
-        Xa, v, trace = _block_min_eig(live, Xa)
-        X[active] = Xa
+        Wa, _, _ = _block_min_eig(live, X[active])
+        Xa, v, trace = _block_min_eig(live, Wa)
+        X[active], W[active] = Xa, Wa
         iterations[active] += 1
         going = vals[active] - v > BLOCK_RTOL * trace
         vals[active] = v
@@ -551,16 +601,17 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     used = np.zeros(X.shape[0], dtype=np.int64)
     if polished.size:
         target = np.where(stopped, vals, np.inf).reshape(frames, starts).min(axis=1)
-        X[polished], used[polished], stopped[polished] = _polish(
+        X[polished], W[polished], used[polished], stopped[polished] = _polish(
             live, X[polished], budget, target)
         iterations += used
     finals = np.linalg.eigvalsh(_r_matrices(rows, X))[:, 1]
     best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
+    basins = _basin_counts(X, W, finals, best, starts)
     descending = np.bincount(active // starts, minlength=frames)
     counts = zip(descending, (~stopped).reshape(frames, starts).sum(axis=1),
-                 block_iterations, used.reshape(frames, starts).max(axis=1), best)
+                 block_iterations, used.reshape(frames, starts).max(axis=1), best, basins)
     out = []
-    for descending_j, hit, block_j, polish_j, b in counts:
+    for descending_j, hit, block_j, polish_j, b, basin in counts:
         diagnostics = SearchDiagnostics(
             starts=starts,
             block_converged=starts - int(descending_j),
@@ -570,6 +621,7 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
             polish_iterations=int(polish_j),
             best_iterations=int(iterations[b]),
             best_hit_budget=bool(not stopped[b]),
+            best_basin_starts=int(basin),
         )
         out.append(MarginEstimate(float(max(finals[b], 0.0)), X[b] / np.linalg.norm(X[b]),
                                   diagnostics))
@@ -785,7 +837,7 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
     diagnostics = estimate.diagnostics
     if a0 < TAU_NPR:
         # polish the witness with what is left of its start's budget
-        xi, used, stopped = _polish(rf, witness[None, :], MAX_ITER - diagnostics.best_iterations)
+        xi, _, used, stopped = _polish(rf, witness[None, :], MAX_ITER - diagnostics.best_iterations)
         diagnostics = replace(diagnostics, witness_polish_iterations=int(used[0]),
                               best_hit_budget=diagnostics.best_hit_budget or not stopped[0])
         witness = xi[0] / np.linalg.norm(xi[0])

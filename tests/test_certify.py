@@ -95,14 +95,34 @@ def test_estimate_a0_is_no_higher_than_the_block_descent_oracle(name):
     assert estimate_a0(rf, starts=8)[0] <= block_descent_oracle(rf, 8) * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(k for k, (_, s) in ORACLE_FRAMES.items() if s is not None))
+def test_shorter_block_descent_finds_no_higher_margin(monkeypatch, name):
+    n, seed = ORACLE_FRAMES[name]
+    rf = RealifiedFrame.from_frame(random_frame(n, 4 * n - 2, seed=seed))
+    short = estimate_a0(rf, starts=8)[0]
+    monkeypatch.setattr(certify_module, "BLOCK_ITERS", 100)
+    assert short <= estimate_a0(rf, starts=8)[0] * (1.0 + 1e-9)
+
+
+def test_bh2_search_does_not_depend_on_the_block_cap(monkeypatch):
+    # every start of BH n=2 stops in the block descent within either cap
+    rf = RealifiedFrame.from_frame(bh(2))
+    short = estimate_a0(rf)
+    monkeypatch.setattr(certify_module, "BLOCK_ITERS", 100)
+    long = estimate_a0(rf)
+    assert short[0] == long[0] and short.diagnostics == long.diagnostics
+    assert np.array_equal(short[1], long[1])
+
+
 def test_max_iter_is_the_budget_over_both_phases():
     rf = RealifiedFrame.from_frame(bh(6))
-    for max_iter in (40, 100, 160):
+    cap = certify_module.BLOCK_ITERS
+    for max_iter in (cap // 2, cap, cap + 60):
         d = estimate_a0(rf, starts=2, max_iter=max_iter).diagnostics
-        assert d.block_iterations == min(max_iter, certify_module.BLOCK_ITERS)
+        assert d.block_iterations == min(max_iter, cap)
         assert d.block_iterations + d.polish_iterations <= max_iter
         assert d.best_iterations <= max_iter
-    short = estimate_a0(rf, starts=2, max_iter=40).diagnostics
+    short = estimate_a0(rf, starts=2, max_iter=cap // 2).diagnostics
     assert (short.polished, short.polish_iterations, short.hit_budget) == (0, 0, 2)
     assert short.best_hit_budget
 
@@ -124,6 +144,7 @@ def test_search_diagnostics_count_every_start():
         assert 0 <= d.hit_budget <= d.polished
         assert d.block_iterations <= certify_module.BLOCK_ITERS
         assert d.best_iterations <= d.block_iterations + d.polish_iterations
+        assert 1 <= d.best_basin_starts <= d.starts
         again = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
         assert again.diagnostics == d and again[0] == estimate[0]
         copied = pickle.loads(pickle.dumps(estimate))
@@ -131,6 +152,8 @@ def test_search_diagnostics_count_every_start():
     # BH n=2 converges in the block descent; BH n=5 needs the Newton phase
     assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.polished == 0
     assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polished > 0
+    # every start of BH n=2 ends at the one minimizing matrix x w* + w x*
+    assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.best_basin_starts == 16
 
 
 def test_estimate_a0_single_vector_in_c1():
@@ -662,7 +685,7 @@ def test_newton_model_at_a_direction_where_r_vanishes():
     xi = np.array([[0.0, 1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, used, stopped = certify_module._polish(rf, xi, 10)
+        out, _, used, stopped = certify_module._polish(rf, xi, 10)
         a0, witness = estimate_a0(rf, starts=8)
     np.testing.assert_array_equal(out, xi)
     assert used.tolist() == [0] and stopped.tolist() == [True]

@@ -59,7 +59,7 @@ def test_certify_json_carries_the_search_diagnostics(frames, capsys):
     diag = doc["report"]["diagnostics"]
     assert set(diag) == {"starts", "block_converged", "polished", "hit_budget",
                          "block_iterations", "polish_iterations", "best_iterations",
-                         "best_hit_budget", "witness_polish_iterations"}
+                         "best_hit_budget", "best_basin_starts", "witness_polish_iterations"}
     assert diag["starts"] == 16
     assert diag["block_converged"] + diag["polished"] == 16
     _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
