@@ -10,7 +10,10 @@ BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
 Newton method on lambda_2(R(xi)) over the unit sphere for the starts still
 descending, its gradient and Hessian built from the eigenpairs of the one
 eigh each step already makes, all within a total budget of max_iter
-iterations per start.  Frames of one shape can be searched together as
+iterations per start.  A block-descent start stops early once it joins
+the basin of its frame's leading start, since from there it would only
+repeat the leader's descent (multistart clustering, Rinnooy Kan and
+Timmer 1987).  Frames of one shape can be searched together as
 one stack of starts (``_margin_search``), which is how
 ``stability_experiment`` certifies its trials.
 Because numerical minimization can only ever over-estimate a minimum, the
@@ -126,9 +129,12 @@ STALL_WINDOW = 25
 # Iteration budget per start of ``estimate_a0``, over both of its phases.
 MAX_ITER = 2000
 
-# A start ends in the best start's basin when its final lambda_2 is within
-# BASIN_RTOL of the best one's and its rank-two matrix (``_basin_counts``)
-# has overlap at least 1 - BASIN_OVERLAP_TOL with the best one's.
+# Two starts share a basin when their lambda_2 values are within BASIN_RTOL
+# (relative, or within rounding) and their rank-two matrices
+# (``_same_basin``) have overlap at least 1 - BASIN_OVERLAP_TOL.  Phase 1
+# stops a start that shares its frame's leader's basin
+# (``_join_leaders``), and the diagnostics count the starts in the best
+# start's basin (``_basin_counts``).
 BASIN_RTOL = 1e-2
 BASIN_OVERLAP_TOL = 1e-6
 
@@ -162,15 +168,22 @@ class SearchDiagnostics:
     """Convergence counts of one ``estimate_a0`` run.
 
     ``starts`` is the number of starts; ``block_converged`` of them stopped
-    in the block descent (phase 1), ``polished`` went on to the Newton
-    phase, and ``hit_budget`` used all max_iter iterations without meeting
-    a stopping rule.  ``block_iterations`` and ``polish_iterations`` count
-    the batched iterations of each phase (a Newton step is one iteration),
-    ``best_iterations`` the iterations of the start that gave the margin,
-    and ``best_hit_budget`` says whether that start used up the budget.
+    in the block descent (phase 1) on their decrease, ``joined`` stopped
+    there on joining the basin of their frame's leading start, and
+    ``polished`` went on to the Newton phase, so the three sum to
+    ``starts`` whenever the budget leaves room for that phase.
+    ``hit_budget`` counts the starts that used all max_iter iterations
+    without meeting a stopping rule.  ``block_iterations`` and
+    ``polish_iterations`` count the batched iterations of each phase (a
+    Newton step is one iteration), ``best_iterations`` the iterations of
+    the start that gave the margin, and ``best_hit_budget`` says whether
+    that start used up the budget.
     ``best_basin_starts`` counts the starts, the best one included, that
-    end in the best start's basin (``_basin_counts``); a count of one says
-    the margin rests on a single start.
+    end in the best start's basin (``_basin_counts``): final lambda_2
+    within BASIN_RTOL of the best one's, or within its rounding 2n eps
+    trace R(xi), and the same rank-two matrix x w* + w x*.  A joined start
+    counts exactly when the start it joined does.  A count of one says the
+    margin rests on a single start.
     ``witness_polish_iterations`` counts the further polish that
     ``certify_complex`` gives a witness below TAU_NPR.  Counts only, so
     reruns give identical reports.
@@ -178,6 +191,7 @@ class SearchDiagnostics:
 
     starts: int
     block_converged: int
+    joined: int
     polished: int
     hit_budget: int
     block_iterations: int
@@ -536,34 +550,91 @@ def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
                                           max_iter)]
 
 
-def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, best: np.ndarray,
-                  starts: int) -> np.ndarray:
+def _level_with(v: np.ndarray, top: np.ndarray, trace: np.ndarray, two_n: int) -> np.ndarray:
+    """The value half of the basin test: whether each lambda_2 value v is
+    at most BASIN_RTOL |top| above top, or at most its rounding, 2n eps
+    trace R(xi), above it (so kernel points at lambda_2 = +-1e-16 compare
+    as level)."""
+    return v - top <= np.maximum(BASIN_RTOL * np.abs(top), two_n * np.finfo(float).eps * trace)
+
+
+def _same_basin(X: np.ndarray, W: np.ndarray, X_top: np.ndarray, W_top: np.ndarray) -> np.ndarray:
+    """The matrix half of the basin test: whether the Frobenius-unit
+    rank-two matrices M = x w* + w x* of each row pair (X, W) and of its
+    match (X_top, W_top), with x and w read as vectors in C^n, have
+    overlap |<M, M_top>| >= 1 - BASIN_OVERLAP_TOL.
+
+    lambda_2(R(xi)) = min_w sum_k (f_k* M f_k)^2 / 4 depends on (x, w) only
+    through M, so a minimum is one M but a curve of directions x: starts
+    in one basin can end at directions x far apart.  Row by row, so no
+    row's answer depends on the others.
+    """
+    Y, V = np.concatenate((X, X_top)), np.concatenate((W, W_top))
+    n = Y.shape[1] // 2
+    z, v = Y[:, :n] + 1j * Y[:, n:], V[:, :n] + 1j * V[:, n:]
+    M = z[:, :, None] * v[:, None, :].conj()
+    M = (M + np.swapaxes(M, 1, 2).conj()).reshape(Y.shape[0], -1)
+    M /= np.linalg.norm(M, axis=1, keepdims=True)
+    overlap = np.abs((M[:len(X)] * M[len(X):].conj()).sum(axis=1))
+    return overlap >= 1.0 - BASIN_OVERLAP_TOL
+
+
+def _join_leaders(active: np.ndarray, going: np.ndarray, v: np.ndarray, trace: np.ndarray,
+                  vals: np.ndarray, X: np.ndarray, W: np.ndarray,
+                  starts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-1 joining rule of ``_search_chunk``: the positions in
+    ``active`` of the rows that join their frame's leader, and the leader
+    row each joins.  Row r is a start of frame r // starts.
+
+    The leader is the row of the frame with the lowest lambda_2 in
+    ``vals`` so far.  A row still ``going`` joins it when it is not the
+    leader, its lambda_2 ``v`` (with trace R(xi) ``trace``) is level with
+    the leader's (``_level_with``), and its pair in X, W ends at the
+    leader's matrix (``_same_basin``): it would only repeat the leader's
+    descent.  Only a frame's own rows are read, and M is formed only for
+    the rows that pass the value test.
+    """
+    leader = vals.reshape(-1, starts).argmin(axis=1) + np.arange(0, vals.size, starts)
+    lead = leader[active // starts]
+    # .nonzero() rather than np.flatnonzero, whose overhead every block
+    # iteration of a 2-start search would pay
+    near = (going & (active != lead) & _level_with(v, vals[lead], trace, X.shape[1])).nonzero()[0]
+    to = lead[near]
+    if near.size:
+        rows = active[near]
+        joins = _same_basin(X[rows], W[rows], X[to], W[to])
+        near, to = near[joins], to[joins]
+    return near, to
+
+
+def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, trace: np.ndarray,
+                  best: np.ndarray, joined_to: np.ndarray, starts: int) -> np.ndarray:
     """For each frame of a chunk of ``_search_chunk``, the starts (the best
     one included) that end in the basin of its best row ``best``.
 
-    A start counts when its final lambda_2 is at most BASIN_RTOL times
-    |lambda_2| above the best one's and its rank-two matrix M = x w* + w x*
-    satisfies |<M, M_best>| >= 1 - BASIN_OVERLAP_TOL for Frobenius-unit M.
-    Here x is the start's final direction and w its partner in the
-    search's last step (the block half step's direction, or the lambda_2
-    eigenvector at a Newton run's end), both as unit vectors in C^n.
-    lambda_2(R(xi)) = min_w sum_k (f_k* M f_k)^2 / 4 depends on (x, w) only
-    through M, so a minimum is one M but a curve of directions x: starts
-    in one basin can end at directions x far apart.  Every step is row by
-    row, so a stacked search counts as the searches on its frames alone.
+    A start that joined another in phase 1 (``joined_to``, -1 for none)
+    counts exactly when the start it joined does, through chains of joins,
+    so each start is represented by the root of its chain.  A root counts
+    when its final lambda_2 is level with that of the best row's root
+    (``_level_with``) and its pair (x, w) ends at the same matrix
+    (``_same_basin``).  Here x is the start's final direction and w its
+    partner in the search's last step (the block half step's direction,
+    or the lambda_2 eigenvector at a Newton run's end).  Every step is row
+    by row, so a stacked search counts as the searches on its frames
+    alone.
     """
-    frame = np.arange(finals.size) // starts
-    top = finals[best[frame]]
-    near = np.flatnonzero(finals - top <= BASIN_RTOL * np.abs(top))
-    x, w = _unit_rows(X[near]), _unit_rows(W[near])
-    n = x.shape[1] // 2
-    z, v = x[:, :n] + 1j * x[:, n:], w[:, :n] + 1j * w[:, n:]
-    M = z[:, :, None] * v[:, None, :].conj()
-    M = (M + np.swapaxes(M, 1, 2).conj()).reshape(near.size, -1)
-    M /= np.linalg.norm(M, axis=1, keepdims=True)
-    own = M[np.searchsorted(near, best)][frame[near]]
-    overlap = np.abs((M * own.conj()).sum(axis=1))
-    return np.bincount(frame[near][overlap >= 1.0 - BASIN_OVERLAP_TOL], minlength=best.size)
+    rows = np.arange(finals.size)
+    root = np.where(joined_to < 0, rows, joined_to)
+    # pointer jumping: each pass doubles the chain length resolved, and a
+    # chain is shorter than its frame's starts
+    for _ in range(int(starts).bit_length()):
+        root = root[root]
+    frame = rows // starts
+    anchor = root[best][frame]
+    own = np.flatnonzero((root == rows) & _level_with(finals, finals[anchor], trace, X.shape[1]))
+    member = np.zeros(finals.size, dtype=bool)
+    member[own] = _same_basin(X[own], W[own], X[anchor[own]], W[anchor[own]])
+    return np.bincount(frame[member[root]], minlength=best.size)
 
 
 def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
@@ -574,11 +645,15 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     rows = rfs[0] if frames == 1 else _Stack(
         tuple(rfs), np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]),
         np.repeat(np.arange(frames), starts))
-    X = np.stack([_start_direction(s + i, rfs[0].two_n) for s in seeds for i in range(starts)])
+    # one start direction per distinct seed: neighbouring trials share most
+    keys, which = np.unique([s + i for s in seeds for i in range(starts)], return_inverse=True)
+    X = np.stack([_start_direction(int(k), rfs[0].two_n) for k in keys])[which]
     # each row's partner w in its last step, for ``_basin_counts``
     W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
     iterations = np.zeros(X.shape[0], dtype=np.int64)
+    # the row each row joined in phase 1, or -1
+    joined_to = np.full(X.shape[0], -1)
     # the rows still descending (row r is a start of frame r // starts), and their frames
     active, live = np.arange(X.shape[0]), rows
     for _ in range(min(BLOCK_ITERS, max_iter)):
@@ -590,6 +665,10 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         iterations[active] += 1
         going = vals[active] - v > BLOCK_RTOL * trace
         vals[active] = v
+        joins, lead = _join_leaders(active, going, v, trace, vals, X, W, starts)
+        if joins.size:
+            joined_to[active[joins]] = lead
+            going[joins] = False
         if not going.all():
             active, live = active[going], _take(live, going)
     block_iterations = iterations.reshape(frames, starts).max(axis=1)
@@ -604,17 +683,20 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         X[polished], W[polished], used[polished], stopped[polished] = _polish(
             live, X[polished], budget, target)
         iterations += used
-    finals = np.linalg.eigvalsh(_r_matrices(rows, X))[:, 1]
+    R = _r_matrices(rows, X)
+    finals = np.linalg.eigvalsh(R)[:, 1]
     best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
-    basins = _basin_counts(X, W, finals, best, starts)
+    basins = _basin_counts(X, W, finals, np.trace(R, axis1=1, axis2=2), best, joined_to, starts)
     descending = np.bincount(active // starts, minlength=frames)
-    counts = zip(descending, (~stopped).reshape(frames, starts).sum(axis=1),
+    joined = (joined_to >= 0).reshape(frames, starts).sum(axis=1)
+    counts = zip(descending, joined, (~stopped).reshape(frames, starts).sum(axis=1),
                  block_iterations, used.reshape(frames, starts).max(axis=1), best, basins)
     out = []
-    for descending_j, hit, block_j, polish_j, b, basin in counts:
+    for descending_j, joined_j, hit, block_j, polish_j, b, basin in counts:
         diagnostics = SearchDiagnostics(
             starts=starts,
-            block_converged=starts - int(descending_j),
+            block_converged=starts - int(descending_j) - int(joined_j),
+            joined=int(joined_j),
             polished=int(descending_j) if budget > 0 else 0,
             hit_budget=int(hit),
             block_iterations=int(block_j),
@@ -644,7 +726,14 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
        sum_k <Phi_k xi, w>^2, a quartic symmetric in xi and w; each half
        step minimizes one block exactly through a constrained eigenvector
        computation, so the objective is nonincreasing.  A start stops when
-       its decrease per iteration is at most BLOCK_RTOL times trace R(xi).
+       its decrease per iteration is at most BLOCK_RTOL times trace R(xi),
+       or when it joins its frame's leader, the start with the lowest
+       value so far: it is not the leader, its value is within BASIN_RTOL
+       of the leader's (or within 2n eps trace R(xi)), and its rank-two
+       matrix x w* + w x* matches the leader's to an overlap of
+       1 - BASIN_OVERLAP_TOL.  A joined start keeps its pair and skips
+       phase 2; the leader goes on, so the margin still comes from the
+       lowest final value.
     2. The starts still descending after phase 1 finish with a batched
        Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the unit
        sphere (``_polish``), for the rest of their budget.  Block descent

@@ -140,7 +140,7 @@ def test_search_diagnostics_count_every_start():
         estimate = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
         d = estimate.diagnostics
         assert d.starts == 16
-        assert d.block_converged + d.polished == 16
+        assert d.block_converged + d.joined + d.polished == 16
         assert 0 <= d.hit_budget <= d.polished
         assert d.block_iterations <= certify_module.BLOCK_ITERS
         assert d.best_iterations <= d.block_iterations + d.polish_iterations
@@ -154,6 +154,64 @@ def test_search_diagnostics_count_every_start():
     assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polished > 0
     # every start of BH n=2 ends at the one minimizing matrix x w* + w x*
     assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.best_basin_starts == 16
+
+
+def test_bh2_starts_join_the_leading_basin_in_the_block_descent():
+    d = estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=64).diagnostics
+    assert d.joined > 0 and d.polished == 0
+    assert d.best_basin_starts == 64
+
+
+def test_kernel_starts_share_the_best_basin_to_rounding():
+    # lambda_2 is +-1e-16 at these kernel points, so only the rounding
+    # floor lets starts at the best start's matrix count as level with it
+    d = estimate_a0(RealifiedFrame.from_frame(random_frame(3, 7, seed=1)), starts=64).diagnostics
+    assert d.best_basin_starts > 1
+
+
+def test_joined_starts_count_in_the_basin_of_the_start_they_joined():
+    rng = np.random.default_rng(3)
+    xa, wa, xb, wb = rng.standard_normal((4, 4))
+    # row 0 is best; rows 0 and 2 end at one matrix, rows 1, 3, 4 and 5 at
+    # another; 2 joined 1, 5 joined 2, 3 joined 0 and 4 joined 3
+    X = np.array([xa, xb, xa, xb, xb, xb])
+    W = np.array([wa, wb, wa, wb, wb, wb])
+    joined_to = np.array([-1, -1, 1, 0, 3, 2])
+    ones = np.ones(6)
+    counts = certify_module._basin_counts(X, W, ones, ones, np.array([0]), joined_to, 6)
+    assert counts.tolist() == [3]
+    alone = certify_module._basin_counts(X, W, ones, ones, np.array([0]), np.full(6, -1), 6)
+    assert alone.tolist() == [2]
+
+
+def _zero_to_rounding(fr, report):
+    spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), report.witness_xi))
+    return report.a0 <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
+
+
+JOIN_FRAMES = {
+    "bh2": lambda: bh(2),
+    "bh3": lambda: bh(3),
+    "bh4": lambda: bh(4),
+    "bh3-verbatim": lambda: bh(3, "verbatim"),
+    "random3-m10": lambda: random_frame(3, 10, seed=1),
+    "random4-m14": lambda: random_frame(4, 14, seed=1),
+    "random3-m7": lambda: random_frame(3, 7, seed=1),
+}
+
+
+@pytest.mark.parametrize("starts", [16, 64])
+@pytest.mark.parametrize("name", sorted(JOIN_FRAMES))
+def test_joining_keeps_verdict_and_margin(monkeypatch, name, starts):
+    fr = JOIN_FRAMES[name]()
+    joining = certify_complex(fr, starts=starts)
+    monkeypatch.setattr(certify_module, "_join_leaders",
+                        lambda *args: (np.empty(0, dtype=int),) * 2)
+    alone = certify_complex(fr, starts=starts)
+    assert alone.diagnostics.joined == 0
+    assert joining.verdict == alone.verdict
+    assert (joining.a0 == pytest.approx(alone.a0, rel=1e-12)
+            or (_zero_to_rounding(fr, joining) and _zero_to_rounding(fr, alone)))
 
 
 def test_estimate_a0_single_vector_in_c1():

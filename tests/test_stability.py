@@ -115,6 +115,17 @@ def test_stability_experiment_inside_the_radius_never_fails():
     assert report.b_prime_max == max(r.b_prime for r in report.trials)
 
 
+def test_stability_experiment_with_joining_matches_the_search_without_it(monkeypatch):
+    joining = stability_experiment(bh2(), trials=20, starts=64, seed=5)
+    monkeypatch.setattr(certify_module, "_join_leaders",
+                        lambda *args: (np.empty(0, dtype=int),) * 2)
+    alone = stability_experiment(bh2(), trials=20, starts=64, seed=5)
+    assert joining.failures == alone.failures == 0
+    for a, b in zip(joining.trials, alone.trials):
+        assert a.verdict == b.verdict
+        assert a.a0_estimate == pytest.approx(b.a0_estimate, rel=1e-12)
+
+
 @pytest.mark.parametrize("n, starts, trials, stack_entries", [
     (2, 16, 10, certify_module.STACK_ENTRIES),
     (2, 16, 10, 2 * 16 * 16),
