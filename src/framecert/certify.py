@@ -8,20 +8,19 @@ A frame in C^n is phase retrievable exactly when a0 > 0.  The margin is
 estimated from many starts in two phases (``estimate_a0``): at most
 BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
 Newton method on lambda_2(R(xi)) over the unit sphere for the starts still
-descending, its gradient and Hessian built from the eigenpairs of the one
-eigh each step already makes, all within a total budget of max_iter
-iterations per start.  A block-descent start stops early once it joins
-the basin of its frame's leading start, since from there it would only
-repeat the leader's descent (multistart clustering, Rinnooy Kan and
-Timmer 1987).  Frames of one shape can be searched together as
-one stack of starts (``_margin_search``), which is how
-``stability_experiment`` certifies its trials.
+descending and each frame's leader near zero, its gradient and Hessian
+built from the eigenpairs of the one eigh each step already makes, all
+within a total budget of max_iter iterations per start.  A block-descent
+start stops early once it joins the basin of its frame's leading start,
+since from there it would only repeat the leader's descent (multistart
+clustering, Rinnooy Kan and Timmer 1987).  Frames of one shape can be
+searched together as one stack of starts (``_margin_search``), which is
+how ``stability_experiment`` certifies its trials.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
 
-Verdicts, decided in this order at the witness (polished further first
-when a0 < TAU_NPR = 1e-10):
+Verdicts, decided in this order at the witness:
 
 * its second eigenvalue is zero to rounding (at most 2n eps times the
   largest), so the kernel is at least two dimensional: NotRetrievable
@@ -48,7 +47,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -90,7 +90,8 @@ __all__ = [
     "injectivity_sampling_oracle",
 ]
 
-# Verdict thresholds on the estimated margin.
+# The verdict threshold on the estimated margin, and the lambda_2, relative
+# to trace R(xi), up to which a frame's leader always goes on to phase 2.
 TAU_PR = 1e-6
 TAU_NPR = 1e-10
 
@@ -170,23 +171,21 @@ class SearchDiagnostics:
     ``starts`` is the number of starts; ``block_converged`` of them stopped
     in the block descent (phase 1) on their decrease, ``joined`` stopped
     there on joining the basin of their frame's leading start, and
-    ``polished`` went on to the Newton phase, so the three sum to
-    ``starts`` whenever the budget leaves room for that phase.
-    ``hit_budget`` counts the starts that used all max_iter iterations
-    without meeting a stopping rule.  ``block_iterations`` and
-    ``polish_iterations`` count the batched iterations of each phase (a
-    Newton step is one iteration), ``best_iterations`` the iterations of
-    the start that gave the margin, and ``best_hit_budget`` says whether
-    that start used up the budget.
+    ``polished`` went on to the Newton phase (a leader near zero among
+    them), so the three sum to ``starts`` whenever the budget leaves room
+    for that phase.  ``hit_budget`` counts the starts that used all
+    max_iter iterations without meeting a stopping rule.
+    ``block_iterations`` and ``polish_iterations`` count the batched
+    iterations of each phase (a Newton step is one iteration),
+    ``best_iterations`` the iterations of the start that gave the margin,
+    and ``best_hit_budget`` says whether that start used up the budget.
     ``best_basin_starts`` counts the starts, the best one included, that
     end in the best start's basin (``_basin_counts``): final lambda_2
     within BASIN_RTOL of the best one's, or within its rounding 2n eps
     trace R(xi), and the same rank-two matrix x w* + w x*.  A joined start
     counts exactly when the start it joined does.  A count of one says the
-    margin rests on a single start.
-    ``witness_polish_iterations`` counts the further polish that
-    ``certify_complex`` gives a witness below TAU_NPR.  Counts only, so
-    reruns give identical reports.
+    margin rests on a single start.  Counts only, so reruns give identical
+    reports.
     """
 
     starts: int
@@ -199,7 +198,6 @@ class SearchDiagnostics:
     best_iterations: int
     best_hit_budget: bool
     best_basin_starts: int
-    witness_polish_iterations: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -236,8 +234,9 @@ class CertificationReport:
     realified direction achieving the reported margin; ``kernel_excess`` is
     set only on an eigen NotRetrievable report, to that witness, where the
     second eigenvalue of r_matrix is zero to rounding, so its kernel has
-    dimension >= 2.  ``failing_partition`` is set only
-    by the complement route, ``diagnostics`` (the margin search's
+    dimension >= 2.  An eigen ``a0`` is the search's lambda_2 there, or
+    the cross-check's worst ratio when lower.  ``failing_partition`` is set
+    only by the complement route, ``diagnostics`` (the margin search's
     convergence counts) only by the eigen route.
     """
 
@@ -432,11 +431,11 @@ def _newton_model(rf: RealifiedFrame | _Stack, X: np.ndarray, vals: np.ndarray,
     return g, P @ H @ P + trace[:, None, None] * vertical
 
 
-def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None):
+def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target):
     """Batched Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the
     unit sphere, one independent run per row of X, each taking at most
     ``budget`` steps.  ``rf`` is one frame, or a ``_Stack`` with the frame
-    of each row; ``target``, when given, holds a value for each frame.
+    of each row; ``target`` holds a value for each frame.
 
     A step moves along -|H|^-1 g, with g and H from ``_newton_model`` and
     |H| the Hessian with its eigenvalues in absolute value, floored at
@@ -467,7 +466,7 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
     idx, x, rows = np.arange(b), X.copy(), rf
     vals, vecs, T = _deflated_eigh(rows, x)
     f_then = vals[:, 0].copy()
-    best = np.full(frame[-1] + 1, np.inf) if target is None else np.array(target, dtype=float)
+    best = np.array(target, dtype=float)
     np.minimum.at(best, frame, vals[:, 0])
     step = 0
 
@@ -527,11 +526,13 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target=None
     return X, W, used, stopped
 
 
-def _check_budget(starts: int, max_iter: int) -> None:
-    """Refuse a margin search with no starts or no iterations."""
+def _check_budget(starts: int, max_iter: int) -> tuple[int, int]:
+    """Both as Python ints; refuse a search with no starts or no iterations."""
+    starts, max_iter = operator.index(starts), operator.index(max_iter)
     for name, value in (("starts", starts), ("max_iter", max_iter)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    return starts, max_iter
 
 
 def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
@@ -543,7 +544,7 @@ def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     frame's rows, and the products are taken frame by frame
     (``_gradient_rows``), so each result is bit for bit the one
     ``estimate_a0`` gives on that frame alone."""
-    _check_budget(starts, max_iter)
+    starts, max_iter = _check_budget(starts, max_iter)
     per = max(1, STACK_ENTRIES // (rfs[0].m * rfs[0].two_n * starts))
     return [estimate for lo in range(0, len(rfs), per)
             for estimate in _search_chunk(rfs[lo:lo + per], starts, seeds[lo:lo + per],
@@ -651,6 +652,7 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     # each row's partner w in its last step, for ``_basin_counts``
     W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
+    traces = np.zeros(X.shape[0])
     iterations = np.zeros(X.shape[0], dtype=np.int64)
     # the row each row joined in phase 1, or -1
     joined_to = np.full(X.shape[0], -1)
@@ -664,7 +666,7 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         X[active], W[active] = Xa, Wa
         iterations[active] += 1
         going = vals[active] - v > BLOCK_RTOL * trace
-        vals[active] = v
+        vals[active], traces[active] = v, trace
         joins, lead = _join_leaders(active, going, v, trace, vals, X, W, starts)
         if joins.size:
             joined_to[active[joins]] = lead
@@ -676,28 +678,32 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     stopped[active] = False
     # every row still active has run min(BLOCK_ITERS, max_iter) iterations
     budget = max_iter - min(BLOCK_ITERS, max_iter)
-    polished = active if budget > 0 else active[:0]
+    if budget > 0:
+        # each frame's leader goes on too once near zero (``estimate_a0``)
+        leader = vals.reshape(frames, starts).argmin(axis=1) + np.arange(0, X.shape[0], starts)
+        stopped[leader[vals[leader] <= TAU_NPR * traces[leader]]] = False
+    handed = (~stopped).reshape(frames, starts).sum(axis=1)
     used = np.zeros(X.shape[0], dtype=np.int64)
-    if polished.size:
+    if budget > 0 and handed.any():
+        polished = (~stopped).nonzero()[0]
         target = np.where(stopped, vals, np.inf).reshape(frames, starts).min(axis=1)
         X[polished], W[polished], used[polished], stopped[polished] = _polish(
-            live, X[polished], budget, target)
+            _take(rows, polished), X[polished], budget, target)
         iterations += used
     R = _r_matrices(rows, X)
     finals = np.linalg.eigvalsh(R)[:, 1]
     best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
     basins = _basin_counts(X, W, finals, np.trace(R, axis1=1, axis2=2), best, joined_to, starts)
-    descending = np.bincount(active // starts, minlength=frames)
     joined = (joined_to >= 0).reshape(frames, starts).sum(axis=1)
-    counts = zip(descending, joined, (~stopped).reshape(frames, starts).sum(axis=1),
+    counts = zip(handed, joined, (~stopped).reshape(frames, starts).sum(axis=1),
                  block_iterations, used.reshape(frames, starts).max(axis=1), best, basins)
     out = []
-    for descending_j, joined_j, hit, block_j, polish_j, b, basin in counts:
+    for handed_j, joined_j, hit, block_j, polish_j, b, basin in counts:
         diagnostics = SearchDiagnostics(
             starts=starts,
-            block_converged=starts - int(descending_j) - int(joined_j),
+            block_converged=starts - int(handed_j) - int(joined_j),
             joined=int(joined_j),
-            polished=int(descending_j) if budget > 0 else 0,
+            polished=int(handed_j) if budget > 0 else 0,
             hit_budget=int(hit),
             block_iterations=int(block_j),
             polish_iterations=int(polish_j),
@@ -737,7 +743,9 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     2. The starts still descending after phase 1 finish with a batched
        Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the unit
        sphere (``_polish``), for the rest of their budget.  Block descent
-       stalls in narrow valleys where this converges.
+       stalls in narrow valleys where this converges.  So does each frame's
+       leader at most TAU_NPR trace R(xi) above zero, as the decrease rule
+       cannot tell it converged, and ``certify_complex`` needs it resolved.
 
     The reported a0 is the smallest second eigenvalue (``eigvalsh``) of
     R(xi) over the final directions.  It is an upper bound on the true
@@ -861,10 +869,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Estimate the margin with ``estimate_a0`` at its default budget
-       MAX_ITER.  Below TAU_NPR the witness is first polished further with
-       what is left of its start's budget, and the margin becomes the
-       second eigenvalue there.  One ``eigvalsh`` of R at the witness then
-       decides, in this order:
+       MAX_ITER; its Newton phase has already resolved a leader within
+       TAU_NPR trace R(xi) of zero.  One ``eigvalsh`` of R at the witness
+       then decides, in this order:
 
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:
@@ -878,10 +885,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
        * otherwise Inconclusive: a small margin that double precision
          cannot tell from zero is never enough.
 
-    The report carries the search's ``diagnostics``, including the
-    iterations of that witness polish.  The margin search and the
-    zero-to-rounding test are scale equivariant, but TAU_PR and TAU_NPR are
-    absolute, so rescaling a frame can move its margin across one.
+    The report carries the search's ``diagnostics``.  The search and the
+    zero-to-rounding test are scale equivariant, so NotRetrievable does not
+    depend on scale; TAU_PR is absolute, so rescaling can move a0 across it.
     """
     return _certify_frames([fr], starts, [seed])[0]
 
@@ -923,17 +929,7 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
             seed: int) -> CertificationReport:
     """``certify_complex`` step 3 after the margin search."""
     a0, witness = estimate
-    diagnostics = estimate.diagnostics
-    if a0 < TAU_NPR:
-        # polish the witness with what is left of its start's budget
-        xi, _, used, stopped = _polish(rf, witness[None, :], MAX_ITER - diagnostics.best_iterations)
-        diagnostics = replace(diagnostics, witness_polish_iterations=int(used[0]),
-                              best_hit_budget=diagnostics.best_hit_budget or not stopped[0])
-        witness = xi[0] / np.linalg.norm(xi[0])
     spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
-    if a0 < TAU_NPR:
-        a0 = float(max(spectrum[1], 0.0))
-
     kernel_excess = None
     if spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]:
         # the second eigenvalue is zero to rounding: a kernel beyond J xi
@@ -950,7 +946,7 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
 
     return CertificationReport(
         verdict=verdict, a0=a0, witness_xi=witness, kernel_excess=kernel_excess,
-        method="eigen", diagnostics=diagnostics,
+        method="eigen", diagnostics=estimate.diagnostics,
     )
 
 

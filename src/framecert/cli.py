@@ -80,15 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("experiment", help="perturbation sweep or two frame path")
-    p.add_argument("kind", choices=["perturb", "path"])
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("perturb", help="certify random perturbations of a frame")
     p.add_argument("--frame", required=True)
-    p.add_argument("--frame2", default=None, help="end frame (path only)")
-    p.add_argument("--grid", type=int, default=21, help="path sample count")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--radius-fraction", type=float, default=0.99)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_solver(p)
     add_seed(p)
+    add_output(p)
+    p = kinds.add_parser("path", help="lower frame bound along a path between two frames")
+    p.add_argument("--frame", required=True, help="start frame")
+    p.add_argument("--frame2", required=True, help="end frame")
+    p.add_argument("--grid", type=int, default=21, help="path sample count")
     add_output(p)
 
     p = sub.add_parser("bounds", help="cardinality bounds for dimension n")
@@ -198,8 +202,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             _emit(_wrap(args, report.to_dict()), args.output)
         return 0
-    if args.frame2 is None:
-        raise ValueError("path experiment needs --frame2")
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     import numpy as np

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -398,6 +399,9 @@ def test_certify_retrievable_with_unit_witness():
     assert rep.method == "eigen"
     assert rep.a0 > TAU_PR
     assert abs(np.linalg.norm(rep.witness_xi) - 1.0) < 1e-12
+    # a numpy integer budget reaches the diagnostics as a Python int
+    rep = certify_complex(bh(2), starts=np.int64(8))
+    assert json.loads(json.dumps(rep.to_dict()))["diagnostics"]["starts"] == 8
 
 
 def test_certify_not_retrievable_requires_kernel_witness():
@@ -425,9 +429,14 @@ def test_inconclusive_report_carries_no_kernel_excess():
 @pytest.mark.parametrize("k", range(-12, 13, 2))
 def test_a_witness_zero_to_rounding_is_not_retrievable_at_every_scale(k):
     # lambda_2 <= 2n eps lambda_max is tested before TAU_PR, so a large
-    # scale cannot lift a kernel point's rounding noise above the threshold
+    # scale cannot lift a kernel point's rounding noise above the threshold,
+    # and the leader is finished in the Newton phase below TAU_NPR trace R,
+    # a threshold that scales with the frame.  The two random frames have
+    # fewer vectors than hmw_lower (10 and 18), so no scale of them is
+    # retrievable.
     for fr in (trivial_non_retrievable(2, 4), trivial_non_retrievable(3, 10),
-               ComplexFrame.from_vectors(r3_example().vectors, field="complex")):
+               ComplexFrame.from_vectors(r3_example().vectors, field="complex"),
+               random_frame(4, 8, seed=105), random_frame(6, 13, seed=102)):
         scaled = ComplexFrame.from_vectors(fr.vectors * 2.0 ** k, field="complex")
         for starts in (2, 8):
             rep = certify_complex(scaled, starts=starts)
@@ -465,7 +474,7 @@ def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
 def test_an_unresolved_margin_is_not_declared_not_retrievable():
     # BH n=4 with the verbatim angles falls below TAU_NPR at 64 starts with
     # a two-dimensional kernel at RANK_RTOL, but lambda_2 / lambda_max stays
-    # far above 2n eps after the witness polish
+    # far above 2n eps once the Newton phase has finished its leader
     fr = bh(4, "verbatim")
     rep = certify_complex(fr, starts=64)
     assert rep.a0 < TAU_NPR
@@ -743,7 +752,7 @@ def test_newton_model_at_a_direction_where_r_vanishes():
     xi = np.array([[0.0, 1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, _, used, stopped = certify_module._polish(rf, xi, 10)
+        out, _, used, stopped = certify_module._polish(rf, xi, 10, [np.inf])
         a0, witness = estimate_a0(rf, starts=8)
     np.testing.assert_array_equal(out, xi)
     assert used.tolist() == [0] and stopped.tolist() == [True]

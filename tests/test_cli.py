@@ -59,7 +59,7 @@ def test_certify_json_carries_the_search_diagnostics(frames, capsys):
     diag = doc["report"]["diagnostics"]
     assert set(diag) == {"starts", "block_converged", "joined", "polished", "hit_budget",
                          "block_iterations", "polish_iterations", "best_iterations",
-                         "best_hit_budget", "best_basin_starts", "witness_polish_iterations"}
+                         "best_hit_budget", "best_basin_starts"}
     assert diag["starts"] == 16
     assert diag["block_converged"] + diag["joined"] + diag["polished"] == 16
     _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
@@ -204,6 +204,15 @@ def test_experiment_path_requires_second_frame(frames, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["path", "--frame", "{bh2}", "--frame2", "{triv}", "--trials", "3"],
+    ["perturb", "--frame", "{bh2}", "--grid", "3"],
+], ids=["path-trials", "perturb-grid"])
+def test_each_experiment_kind_refuses_the_options_of_the_other(frames, capsys, argv):
+    assert main(["experiment", *(a.format(**frames) for a in argv)]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bounds_command(capsys):
     code, doc = run_json(capsys, ["bounds", "--n", "4"])
     assert code == 0
@@ -327,7 +336,8 @@ def test_config_envelope_records_the_solver_settings(frames, capsys):
                              "starts": 8, "seed": 3}
     _, doc = run_json(capsys, ["experiment", "path", "--frame", frames["bh2"],
                                "--frame2", frames["triv"], "--grid", "3"])
-    assert (doc["config"]["grid"], doc["config"]["frame2"]) == (3, frames["triv"])
+    assert doc["config"] == {"command": "experiment", "kind": "path", "frame": frames["bh2"],
+                             "frame2": frames["triv"], "grid": 3}
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -164,7 +164,8 @@ def test_stacked_certification_reproduces_whole_reports(monkeypatch, frames, sta
                                                         stack_entries, verdict):
     # the experiment's trial rows carry only verdict and a0; the stacked
     # path must reproduce every field of each frame's own certify_complex
-    # report, including the witness polish that decides NotRetrievable
+    # report, including the Newton run of a leader near zero that decides
+    # NotRetrievable
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
     frames = frames()
     seeds = [11 + i for i in range(len(frames))]
