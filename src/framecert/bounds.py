@@ -32,9 +32,11 @@ class CardinalityBounds:
 def hmw_lower_bound(n: int) -> CardinalityBounds:
     """Cardinality bounds for phase retrieval in C^n.
 
-    The lower bound is 4n - 2 - 2b plus a parity correction, where b is the
-    number of ones in the binary expansion of n - 1: add 2 when n is odd
-    and b = 3 mod 4, add 1 when n is odd and b = 2 mod 4, else add 0.
+    For n >= 2 the lower bound is 4n - 2 - 2b plus a parity correction,
+    where b is the number of ones in the binary expansion of n - 1: add 2
+    when n is odd and b = 3 mod 4, add 1 when n is odd and b = 2 mod 4,
+    else add 0.  In C^1 one nonzero vector already determines |x|, so the
+    bound there is 1, not the formula's 2.
     4n-4 generic vectors are injective (Conca-Edidin-Hering-Vinzant 2015),
     and 11 vectors in C^4, one fewer, can be (Vinzant 2015).
     """
@@ -48,7 +50,7 @@ def hmw_lower_bound(n: int) -> CardinalityBounds:
         correction = 1
     return CardinalityBounds(
         n=n,
-        hmw_lower=4 * n - 2 - 2 * b + correction,
+        hmw_lower=1 if n == 1 else 4 * n - 2 - 2 * b + correction,
         two_n=2 * n,
         conjectured_critical=4 * n - 4,
         generic_upper=4 * n - 2,

@@ -61,6 +61,7 @@ from .core import (
     gradient_rows,
     r_matrix,
     rank_by_svd,
+    unrealify,
 )
 from .errors import FramecertError
 
@@ -152,12 +153,6 @@ CROSS_CHECK_PAIRS = 100
 # minimum distance between rays.
 ORACLE_MATCH_TOL = 1e-8
 ORACLE_RAY_TOL = 1e-4
-
-# The oracle's Gauss-Newton runs: trials solved together, steps per trial,
-# and the floor on the damping relative to trace J^T J.
-ORACLE_CHUNK = 64
-ORACLE_ITERS = 100
-ORACLE_DAMPING = 1e-12
 
 VERDICT_RETRIEVABLE = "Retrievable"
 VERDICT_NOT_RETRIEVABLE = "NotRetrievable"
@@ -1025,13 +1020,6 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
     return ComplementResult(holds=True, failing_partition=None)
 
 
-def _ray_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """min over unimodular c of ||x - c y||."""
-    gap = (np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2
-           - 2.0 * abs(complex(np.sum(x * y.conj()))))
-    return float(np.sqrt(max(gap, 0.0)))
-
-
 def _plain_magnitudes(vectors, x) -> list[float]:
     """Squared magnitudes computed entry by entry in scalar arithmetic,
     independent of the vectorized path."""
@@ -1044,112 +1032,42 @@ def _plain_magnitudes(vectors, x) -> list[float]:
     return out
 
 
-def _gauss_newton(rf: RealifiedFrame, targets: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Damped Gauss-Newton (Levenberg-Marquardt) on the residuals
-    r_k(eta) = eta^T Phi_k eta - targets[k], one independent run from each
-    row of E, with the targets of its row; returns the final rows.
-
-    The Jacobian rows are 2 Phi_k eta, twice ``gradient_rows`` (here with
-    one matrix-vector product per row), so J^T J = 4 R(eta).  A step
-    solves (J^T J + mu I) d = -J^T r.  R(eta) is singular along J eta,
-    where r is constant, so mu is floored at ORACLE_DAMPING times
-    trace J^T J, and it starts there.  A step that lowers |r|^2 is taken,
-    and mu is scaled by the gain ratio (Nielsen 1999); one that does not
-    is refused, and mu grows by a factor that doubles each time.  A run
-    stops when its step is below the rounding of eta, or after
-    ORACLE_ITERS steps.  Every row is computed on its own, so its result
-    does not depend on the other rows.
-    """
-    b, two_n = E.shape
-    out = np.array(E, dtype=np.float64)
-    # state of the runs still going, compacted whenever some stop
-    idx, eta, t = np.arange(b), out.copy(), targets
-
-    def residuals(eta, t):
-        # gradient_rows, with products that do not depend on the other rows
-        E = eta[:, :, None]
-        B = (rf.phi @ E) * rf.phi + (rf.Jphi @ E) * rf.Jphi
-        r = (B @ E)[:, :, 0] - t
-        return B, r, (r * r).sum(1)
-
-    B, r, cost = residuals(eta, t)
-    mu, grow = np.zeros(b), np.full(b, 2.0)
-    for _ in range(ORACLE_ITERS):
-        BT = np.swapaxes(B, 1, 2)
-        A, g = 4.0 * (BT @ B), 2.0 * (BT @ r[:, :, None])[:, :, 0]
-        # positive also where R(eta) = 0, where g = 0 as well
-        floor = ORACLE_DAMPING * np.trace(A, axis1=1, axis2=2) + np.finfo(float).tiny
-        mu = np.maximum(mu, floor)
-        d = np.linalg.solve(A + mu[:, None, None] * np.eye(two_n), -g[:, :, None])[:, :, 0]
-        Bn, rn, cn = residuals(eta + d, t)
-        ok = cn < cost
-        gain = (cost - cn) / np.where(ok, (d * (mu[:, None] * d - g)).sum(1), 1.0)
-        mu = np.where(ok, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), mu * grow)
-        grow = np.where(ok, 2.0, 2.0 * grow)
-        eta[ok], B[ok], r[ok], cost[ok] = eta[ok] + d[ok], Bn[ok], rn[ok], cn[ok]
-        done = np.linalg.norm(d, axis=1) <= np.finfo(float).eps * np.linalg.norm(eta, axis=1)
-        if done.any():
-            out[idx[done]] = eta[done]
-            keep = ~done
-            idx, eta, t = idx[keep], eta[keep], t[keep]
-            B, r, cost, mu, grow = B[keep], r[keep], cost[keep], mu[keep], grow[keep]
-            if idx.size == 0:
-                break
-    out[idx] = eta
-    return out
-
-
-def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 1000,
+def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
                                 seed: int = 42) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Search for a concrete injectivity counterexample by sampling.
+    """Search for a concrete injectivity counterexample through the margin
+    search.
 
-    Each trial samples a target x and a random start, then minimizes the
-    mismatch sum_k (|<x, f_k>|^2 - |<y, f_k>|^2)^2 over y by damped
-    Gauss-Newton (``_gauss_newton``).  The targets and starts of all trials
-    come from one (trials, 4n) normal block, the stream of drawing x by
-    ``_random_complex`` and then 2n start entries trial by trial, and the
-    trials are solved together ORACLE_CHUNK at a time, so the search stops
-    after the first chunk that yields a pair.  A pair counts as a
-    counterexample when the squared measurements agree within
-    ORACLE_MATCH_TOL while the rays stay ORACLE_RAY_TOL apart; both
-    conditions are re-verified in plain scalar arithmetic, and the pair of
-    the lowest-numbered trial that passes is returned.  Returns None when
-    no trial produces one.
+    ``estimate_a0`` runs ``trials`` starts from ``seed`` and returns its
+    unit witness xi; w is the unit lambda_2 eigenvector of R(xi) orthogonal
+    to J xi (``_block_min_eig``).  The candidate pair is x, y =
+    unrealify(xi +- ORACLE_RAY_TOL w).  Since w is orthogonal to J xi,
+    <x, y> is real and the rays are exactly 2 ORACLE_RAY_TOL apart, while
+    the squared measurements differ by 4 ORACLE_RAY_TOL <Phi_k xi, w>, so
+    their mismatch is 4 ORACLE_RAY_TOL sqrt(lambda_2(R(xi))).  A pair
+    counts as a counterexample when the squared measurements agree within
+    ORACLE_MATCH_TOL while the rays stay ORACLE_RAY_TOL apart.  Both
+    conditions are re-verified entry by entry in plain scalar arithmetic,
+    and that re-verification is the part of the answer independent of the
+    search.  Returns None when the pair fails it.
 
     Finding nothing is evidence, not proof, of injectivity.  Nor does a
-    returned pair prove a0 = 0: ORACLE_MATCH_TOL bounds the left side of
-    the separation inequality by 1e-16 and ORACLE_RAY_TOL puts the right
-    factor at about 4e-8 for unit x, so it proves only a0 <= about 2.5e-9.
+    returned pair prove a0 = 0: it proves only lambda_2(R(xi)) <=
+    (ORACLE_MATCH_TOL / (4 ORACLE_RAY_TOL))^2 = 6.25e-10 at a unit witness
+    xi.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n = fr.n
-    G = np.random.default_rng(seed).standard_normal((trials, 4 * n))
-    X, E = (G[:, :n] + 1j * G[:, n:2 * n]) / np.sqrt(2.0), G[:, 2 * n:]
     rf = RealifiedFrame.from_frame(fr)
-
-    def magnitudes(Z):
-        # one product per row, so a trial's numbers do not depend on the others
-        return np.abs(fr.vectors.conj() @ Z[:, :, None])[:, :, 0] ** 2
-
-    targets = magnitudes(X)
-    for lo in range(0, trials, ORACLE_CHUNK):
-        chunk = slice(lo, lo + ORACLE_CHUNK)
-        eta = _gauss_newton(rf, targets[chunk], E[chunk])
-        Y = eta[:, :n] + 1j * eta[:, n:]
-        near = np.linalg.norm(targets[chunk] - magnitudes(Y), axis=1) <= ORACLE_MATCH_TOL
-        for x, y in zip(X[chunk][near], Y[near]):
-            if _ray_distance(x, y) < ORACLE_RAY_TOL:
-                continue
-            # plain-arithmetic re-verification before certifying the pair
-            px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())
-            py = _plain_magnitudes(fr.vectors.tolist(), y.tolist())
-            match = sum((a - b) ** 2 for a, b in zip(px, py)) ** 0.5
-            inner = sum(complex(a) * complex(b).conjugate()
-                        for a, b in zip(x.tolist(), y.tolist()))
-            nx = sum(abs(complex(a)) ** 2 for a in x.tolist())
-            ny = sum(abs(complex(b)) ** 2 for b in y.tolist())
-            apart = max(nx + ny - 2.0 * abs(inner), 0.0) ** 0.5
-            if match <= ORACLE_MATCH_TOL and apart >= ORACLE_RAY_TOL:
-                return x, y
+    _, xi = estimate_a0(rf, starts=trials, seed=seed)
+    w = _block_min_eig(rf, xi[None, :])[0][0]
+    x, y = unrealify(xi + ORACLE_RAY_TOL * w), unrealify(xi - ORACLE_RAY_TOL * w)
+    # plain-arithmetic re-verification before certifying the pair
+    px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())
+    py = _plain_magnitudes(fr.vectors.tolist(), y.tolist())
+    match = sum((a - b) ** 2 for a, b in zip(px, py)) ** 0.5
+    inner = sum(complex(a) * complex(b).conjugate()
+                for a, b in zip(x.tolist(), y.tolist()))
+    nx = sum(abs(complex(a)) ** 2 for a in x.tolist())
+    ny = sum(abs(complex(b)) ** 2 for b in y.tolist())
+    apart = max(nx + ny - 2.0 * abs(inner), 0.0) ** 0.5
+    if match <= ORACLE_MATCH_TOL and apart >= ORACLE_RAY_TOL:
+        return x, y
     return None

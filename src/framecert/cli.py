@@ -11,8 +11,10 @@ malformed input.
 
 certify routes by the frame file's ``field`` label: a real frame goes to the
 complement property, a complex one to the spectral margin.  To certify a
-real frame treated over C, label it complex.  Every JSON report carries the
-parsed command line, without --output, as its ``config`` envelope.
+real frame treated over C, label it complex.  rho and experiment perturb
+work only over C, so they refuse a real-labelled frame with n >= 2 as a
+usage error.  Every JSON report carries the parsed command line, without
+--output, as its ``config`` envelope.
 
 Each command imports the library modules it runs inside its handler, so a
 process loads only those: ``bounds`` loads no numpy, and ``construct``
@@ -142,11 +144,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return _verdict_exit(report.verdict)
 
 
+def _require_complex(fr, path: str, command: str) -> None:
+    """Refuse a real-labelled frame for a ``command`` that treats its frame
+    over C.  For n >= 2 no real frame is retrievable over C (x = e1 + i e2
+    and its conjugate have equal magnitudes), so the answer would differ
+    from ``certify``'s; for n = 1 both fields ask for one nonzero vector."""
+    if fr.field == "real" and fr.n >= 2:
+        raise FramecertError(f"{command} works over C, but {path} is labelled real; "
+                             "label it complex to treat it over C")
+
+
 def _cmd_rho(args: argparse.Namespace) -> int:
     from .certify import certify_complex
     from .frameio import load_frame
 
     fr = load_frame(args.frame)
+    _require_complex(fr, args.frame, "rho")
     report = certify_complex(fr, starts=args.starts, seed=args.seed)
     code = _verdict_exit(report.verdict)
     if code != 0:
@@ -193,6 +206,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "perturb":
         from .stability import stability_experiment
 
+        _require_complex(fr, args.frame, "experiment perturb")
         report = stability_experiment(
             fr, trials=args.trials, radius_fraction=args.radius_fraction,
             seed=args.seed, starts=args.starts,

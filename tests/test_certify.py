@@ -617,7 +617,7 @@ def test_certify_real_wraps_the_complement_check():
 
 
 def test_hmw_lower_bound_reference_values():
-    expected = {1: 2, 2: 4, 3: 8, 4: 10, 5: 16, 8: 24, 11: 39}
+    expected = {1: 1, 2: 4, 3: 8, 4: 10, 5: 16, 8: 24, 11: 39}
     for n, value in expected.items():
         bounds = hmw_lower_bound(n)
         assert bounds.hmw_lower == value
@@ -628,23 +628,62 @@ def test_hmw_lower_bound_reference_values():
         hmw_lower_bound(0)
 
 
+def test_single_vector_line_meets_hmw_lower():
+    # one nonzero vector in C^1 is retrievable, so the bound must admit it
+    one = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]), field="complex")
+    assert one.m >= hmw_lower_bound(1).hmw_lower
+    assert certify_complex(one, starts=8).verdict == VERDICT_RETRIEVABLE
+
+
 def test_hmw_lower_bound_never_exceeds_generic_count():
     for n in range(1, 65):
         bounds = hmw_lower_bound(n)
         assert bounds.hmw_lower <= bounds.generic_upper
 
 
-def test_oracle_finds_counterexample_on_trivial_frame():
-    fr = trivial_non_retrievable(2, 4)
-    pair = injectivity_sampling_oracle(fr, trials=50, seed=1)
+def assert_counterexample(fr, pair):
+    """The pair has equal magnitudes and distinct rays, checked in numpy."""
     assert pair is not None
     x, y = pair
     mx = np.abs(fr.vectors.conj() @ x) ** 2
     my = np.abs(fr.vectors.conj() @ y) ** 2
-    assert np.linalg.norm(mx - my) <= 1e-8
+    assert np.linalg.norm(mx - my) <= certify_module.ORACLE_MATCH_TOL
     ray_gap = (np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2
                - 2.0 * abs(np.sum(x * y.conj())))
-    assert np.sqrt(max(ray_gap, 0.0)) >= 1e-4
+    assert np.sqrt(max(ray_gap, 0.0)) >= certify_module.ORACLE_RAY_TOL
+
+
+def test_oracle_finds_counterexample_on_trivial_frame():
+    non_spanning = ComplexFrame.from_vectors(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    for fr in (trivial_non_retrievable(2, 4), non_spanning):
+        assert_counterexample(fr, injectivity_sampling_oracle(fr, trials=50, seed=1))
+
+
+@pytest.mark.parametrize("n, m, seed", [(3, 7, 2), (3, 7, 3), (5, 15, 3), (4, 11, 0)])
+def test_oracle_finds_counterexample_on_known_non_retrievable_frames(n, m, seed):
+    # generic frames proven non-retrievable: the first three lie below
+    # hmw_lower(n), and an interval Newton (Krawczyk) test encloses an
+    # exact kernel point of the last
+    fr = random_frame(n, m, seed=seed)
+    assert_counterexample(fr, injectivity_sampling_oracle(fr, trials=16))
+
+
+def test_oracle_finds_a_pair_exactly_on_not_retrievable_frames():
+    # 60 random frames, n = 2..4, m = 2n..4n-3: the pair is the margin
+    # search's witness, so it exists exactly when the verdict says so, and
+    # on every frame below hmw_lower, which cannot be retrievable
+    for n in (2, 3, 4):
+        for m in range(2 * n, 4 * n - 2):
+            for s in range(5):
+                fr = random_frame(n, m, seed=s)
+                verdict = certify_complex(fr, starts=16, seed=1).verdict
+                pair = injectivity_sampling_oracle(fr, trials=16, seed=1)
+                if m < hmw_lower_bound(n).hmw_lower:
+                    assert verdict == VERDICT_NOT_RETRIEVABLE, (n, m, s)
+                if verdict == VERDICT_NOT_RETRIEVABLE:
+                    assert_counterexample(fr, pair)
+                else:
+                    assert pair is None, (n, m, s, verdict)
 
 
 def test_oracle_matches_hand_built_counterexample():
@@ -662,52 +701,6 @@ def test_oracle_finds_nothing_on_certified_frames():
     assert injectivity_sampling_oracle(bh(2), trials=1000, seed=3) is None
     single = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]))
     assert injectivity_sampling_oracle(single, trials=100, seed=4) is None
-
-
-def sequential_oracle_draws(seed, trials, n):
-    """Targets x and starts eta drawn trial by trial: x by _random_complex,
-    then the 2n start entries."""
-    rng = np.random.default_rng(seed)
-    xs, etas = [], []
-    for _ in range(trials):
-        xs.append(certify_module._random_complex(rng, n))
-        etas.append(rng.standard_normal(2 * n))
-    return np.array(xs), np.array(etas)
-
-
-def test_oracle_draws_targets_and_starts_from_the_sequential_stream(monkeypatch):
-    fr = trivial_non_retrievable(3, 8)
-    seen = []
-    real = certify_module._gauss_newton
-
-    def spy(rf, targets, E):
-        seen.append((targets.copy(), E.copy()))
-        return real(rf, targets, E)
-
-    monkeypatch.setattr(certify_module, "_gauss_newton", spy)
-    x, _ = injectivity_sampling_oracle(fr, trials=20, seed=11)
-    xs, etas = sequential_oracle_draws(11, 20, fr.n)
-    targets, E = seen[0]
-    np.testing.assert_array_equal(E, etas)
-    np.testing.assert_allclose(targets, np.abs(xs @ fr.vectors.conj().T) ** 2, rtol=1e-14)
-    # the lowest-numbered trial that passes is the first one here
-    np.testing.assert_array_equal(x, xs[0])
-
-
-@pytest.mark.parametrize("fr", [trivial_non_retrievable(2, 4), trivial_non_retrievable(3, 8)],
-                         ids=["trivial-2-4", "trivial-3-8"])
-def test_oracle_pair_does_not_depend_on_the_number_of_trials(fr):
-    # the first chunk holds k trials in one call and 2k (or a full chunk)
-    # in the other, so each trial's run must not depend on the rest
-    for k in (1, 5, 40):
-        for seed in (1, 2, 3):
-            first = injectivity_sampling_oracle(fr, trials=k, seed=seed)
-            if first is None:
-                continue
-            again = injectivity_sampling_oracle(fr, trials=2 * k, seed=seed)
-            assert again is not None
-            np.testing.assert_array_equal(first[0], again[0])
-            np.testing.assert_array_equal(first[1], again[1])
 
 
 NO_SCIPY = """

@@ -131,6 +131,19 @@ def test_rho_on_non_retrievable_frame(frames, capsys):
     assert doc["report"]["stability_radius"] is None
 
 
+@pytest.mark.parametrize("argv", [["rho"], ["experiment", "perturb", "--trials", "2"]],
+                         ids=["rho", "experiment-perturb"])
+def test_over_c_commands_refuse_a_real_labelled_frame(frames, capsys, argv):
+    # certify decides the real-labelled r3 frame by the complement property
+    # (Retrievable); over C it is not retrievable, so these commands refuse
+    # it rather than answer a different question
+    code = main([*argv, "--frame", frames["r3"], "--starts", "8"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "label it complex" in captured.err
+
+
 def test_construct_families_roundtrip(tmp_path, capsys):
     for family, extra in (("bodmann-hammen", ["--n", "3"]),
                           ("r3-example", []),
