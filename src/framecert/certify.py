@@ -7,15 +7,15 @@ The central quantity is the spectral injectivity margin
 A frame in C^n is phase retrievable exactly when a0 > 0.  The margin is
 estimated from many starts in two phases (``estimate_a0``): at most
 BLOCK_ITERS iterations of batched block descent, then a batched Riemannian
-Newton method on lambda_2(R(xi)) over the unit sphere for the starts still
-descending and each frame's leader near zero, its gradient and Hessian
-built from the eigenpairs of the one eigh each step already makes, all
-within a total budget of max_iter iterations per start.  A block-descent
-start stops early once it joins the basin of its frame's leading start,
-since from there it would only repeat the leader's descent (multistart
-clustering, Rinnooy Kan and Timmer 1987).  Frames of one shape can be
-searched together as one stack of starts (``_margin_search``), which is
-how ``stability_experiment`` certifies its trials.
+Newton method on lambda_2(R(xi)) over the unit sphere for every start that
+did not join, its gradient and Hessian built from the eigenpairs of the one
+eigh each step already makes, all within a total budget of max_iter
+iterations per start.  A block-descent start stops for good once it joins
+the basin of its frame's leading start, since from there it would only
+repeat the leader's descent (multistart clustering, Rinnooy Kan and Timmer
+1987).  Frames of one shape can be searched together as one stack of
+starts (``_margin_search``), which is how ``stability_experiment``
+certifies its trials.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
@@ -67,7 +67,6 @@ from .errors import FramecertError
 
 __all__ = [
     "TAU_PR",
-    "TAU_NPR",
     "KERNEL_ANGLE_TOL",
     "COMPLEMENT_MAX_CANDIDATES",
     "VERDICT_RETRIEVABLE",
@@ -91,10 +90,8 @@ __all__ = [
     "injectivity_sampling_oracle",
 ]
 
-# The verdict threshold on the estimated margin, and the lambda_2, relative
-# to trace R(xi), up to which a frame's leader always goes on to phase 2.
+# The verdict threshold on the estimated margin.
 TAU_PR = 1e-6
-TAU_NPR = 1e-10
 
 # A one-dimensional kernel counts as the phase direction if it is within
 # this angle (radians) of span{J xi}.
@@ -106,15 +103,14 @@ KERNEL_ANGLE_TOL = 1e-6
 COMPLEMENT_MAX_CANDIDATES = 20_000
 
 # Phase 1 of ``estimate_a0``: batched block-descent iterations before the
-# starts still descending switch to the Riemannian Newton method, and the
+# starts that did not join switch to the Riemannian Newton method, and the
 # decrease per iteration, relative to trace R(xi), below which a start
-# stops there.  Block descent converges only linearly, so it just seeds
-# basins, and the Newton phase finishes the starts still descending in a
-# few steps.  Certifying BH n=2..6 (both angle variants) and 28 random
-# frames (n=3..6, m = 4n-2 and 4n-5) at 64 starts took 9.5 s with 100
-# iterations, 6.3 s with 30 and 5.8 s with 20; the random frames alone
-# 5.8 -> 2.6 s (2 cores, x86, BLAS on one thread).  No random frame's
-# Retrievable a0 rose.
+# switches early.  Block descent converges only linearly, so it just seeds
+# basins, and the Newton phase finishes those starts in a few steps.
+# Certifying BH n=2..6 (both angle variants) and 28 random frames (n=3..6,
+# m = 4n-2 and 4n-5) at 64 starts took 9.5 s with 100 iterations, 6.3 s
+# with 30 and 5.8 s with 20; the random frames alone 5.8 -> 2.6 s (2 cores,
+# x86, BLAS on one thread).  No random frame's Retrievable a0 rose.
 BLOCK_ITERS = 20
 BLOCK_RTOL = 1e-12
 
@@ -163,13 +159,12 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 class SearchDiagnostics:
     """Convergence counts of one ``estimate_a0`` run.
 
-    ``starts`` is the number of starts; ``block_converged`` of them stopped
-    in the block descent (phase 1) on their decrease, ``joined`` stopped
-    there on joining the basin of their frame's leading start, and
-    ``polished`` went on to the Newton phase (a leader near zero among
-    them), so the three sum to ``starts`` whenever the budget leaves room
-    for that phase.  ``hit_budget`` counts the starts that used all
-    max_iter iterations without meeting a stopping rule.
+    ``starts`` is the number of starts; ``joined`` of them stopped in the
+    block descent (phase 1) on joining the basin of their frame's leading
+    start, and ``polished`` went on to the Newton phase, so the two sum to
+    ``starts`` whenever the budget leaves room for that phase (and
+    ``polished`` is 0 when it does not).  ``hit_budget`` counts the starts
+    that used all max_iter iterations without meeting a stopping rule.
     ``block_iterations`` and ``polish_iterations`` count the batched
     iterations of each phase (a Newton step is one iteration),
     ``best_iterations`` the iterations of the start that gave the margin,
@@ -184,7 +179,6 @@ class SearchDiagnostics:
     """
 
     starts: int
-    block_converged: int
     joined: int
     polished: int
     hit_budget: int
@@ -426,11 +420,11 @@ def _newton_model(rf: RealifiedFrame | _Stack, X: np.ndarray, vals: np.ndarray,
     return g, P @ H @ P + trace[:, None, None] * vertical
 
 
-def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target):
+def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int):
     """Batched Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the
     unit sphere, one independent run per row of X, each taking at most
     ``budget`` steps.  ``rf`` is one frame, or a ``_Stack`` with the frame
-    of each row; ``target`` holds a value for each frame.
+    of each row (a frame may have no rows).
 
     A step moves along -|H|^-1 g, with g and H from ``_newton_model`` and
     |H| the Hessian with its eigenvalues in absolute value, floored at
@@ -442,10 +436,9 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target):
     when its Riemannian gradient is at most POLISH_GTOL times trace R(xi),
     and, checked every STALL_WINDOW steps, when falling at the rate of its
     last STALL_WINDOW steps it would not reach the lowest value seen among
-    the rows of its frame (or its frame's ``target``, when lower) within
-    the steps left.  So no run depends on the rows of another frame.  A
-    step makes two eigh calls, one for the Hessian and one for f at the new
-    point, plus one per halving.
+    the rows of its frame within the steps left.  So no run depends on the
+    rows of another frame.  A step makes two eigh calls, one for the
+    Hessian and one for f at the new point, plus one per halving.
 
     Returns the final rows, the eigenvector of lambda_2 at each of them,
     the steps each run took, and whether each stopped by one of these rules
@@ -461,7 +454,7 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int, target):
     idx, x, rows = np.arange(b), X.copy(), rf
     vals, vecs, T = _deflated_eigh(rows, x)
     f_then = vals[:, 0].copy()
-    best = np.array(target, dtype=float)
+    best = np.full(frame[-1] + 1, np.inf)
     np.minimum.at(best, frame, vals[:, 0])
     step = 0
 
@@ -575,7 +568,7 @@ def _same_basin(X: np.ndarray, W: np.ndarray, X_top: np.ndarray, W_top: np.ndarr
     return overlap >= 1.0 - BASIN_OVERLAP_TOL
 
 
-def _join_leaders(active: np.ndarray, going: np.ndarray, v: np.ndarray, trace: np.ndarray,
+def _join_leaders(active: np.ndarray, v: np.ndarray, trace: np.ndarray,
                   vals: np.ndarray, X: np.ndarray, W: np.ndarray,
                   starts: int) -> tuple[np.ndarray, np.ndarray]:
     """The phase-1 joining rule of ``_search_chunk``: the positions in
@@ -583,7 +576,8 @@ def _join_leaders(active: np.ndarray, going: np.ndarray, v: np.ndarray, trace: n
     row each joins.  Row r is a start of frame r // starts.
 
     The leader is the row of the frame with the lowest lambda_2 in
-    ``vals`` so far.  A row still ``going`` joins it when it is not the
+    ``vals`` so far.  An ``active`` row (one whose decrease met the
+    stopping rule in this iteration included) joins it when it is not the
     leader, its lambda_2 ``v`` (with trace R(xi) ``trace``) is level with
     the leader's (``_level_with``), and its pair in X, W ends at the
     leader's matrix (``_same_basin``): it would only repeat the leader's
@@ -594,7 +588,7 @@ def _join_leaders(active: np.ndarray, going: np.ndarray, v: np.ndarray, trace: n
     lead = leader[active // starts]
     # .nonzero() rather than np.flatnonzero, whose overhead every block
     # iteration of a 2-start search would pay
-    near = (going & (active != lead) & _level_with(v, vals[lead], trace, X.shape[1])).nonzero()[0]
+    near = ((active != lead) & _level_with(v, vals[lead], trace, X.shape[1])).nonzero()[0]
     to = lead[near]
     if near.size:
         rows = active[near]
@@ -647,7 +641,6 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     # each row's partner w in its last step, for ``_basin_counts``
     W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
-    traces = np.zeros(X.shape[0])
     iterations = np.zeros(X.shape[0], dtype=np.int64)
     # the row each row joined in phase 1, or -1
     joined_to = np.full(X.shape[0], -1)
@@ -661,8 +654,8 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         X[active], W[active] = Xa, Wa
         iterations[active] += 1
         going = vals[active] - v > BLOCK_RTOL * trace
-        vals[active], traces[active] = v, trace
-        joins, lead = _join_leaders(active, going, v, trace, vals, X, W, starts)
+        vals[active] = v
+        joins, lead = _join_leaders(active, v, trace, vals, X, W, starts)
         if joins.size:
             joined_to[active[joins]] = lead
             going[joins] = False
@@ -671,34 +664,27 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     block_iterations = iterations.reshape(frames, starts).max(axis=1)
     stopped = np.ones(X.shape[0], dtype=bool)
     stopped[active] = False
-    # every row still active has run min(BLOCK_ITERS, max_iter) iterations
+    # every row that did not join goes on, with the budget phase 1 left
     budget = max_iter - min(BLOCK_ITERS, max_iter)
-    if budget > 0:
-        # each frame's leader goes on too once near zero (``estimate_a0``)
-        leader = vals.reshape(frames, starts).argmin(axis=1) + np.arange(0, X.shape[0], starts)
-        stopped[leader[vals[leader] <= TAU_NPR * traces[leader]]] = False
-    handed = (~stopped).reshape(frames, starts).sum(axis=1)
+    polished = (joined_to < 0).nonzero()[0]
     used = np.zeros(X.shape[0], dtype=np.int64)
-    if budget > 0 and handed.any():
-        polished = (~stopped).nonzero()[0]
-        target = np.where(stopped, vals, np.inf).reshape(frames, starts).min(axis=1)
+    if budget > 0 and polished.size:
         X[polished], W[polished], used[polished], stopped[polished] = _polish(
-            _take(rows, polished), X[polished], budget, target)
+            _take(rows, polished), X[polished], budget)
         iterations += used
     R = _r_matrices(rows, X)
     finals = np.linalg.eigvalsh(R)[:, 1]
     best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
     basins = _basin_counts(X, W, finals, np.trace(R, axis1=1, axis2=2), best, joined_to, starts)
     joined = (joined_to >= 0).reshape(frames, starts).sum(axis=1)
-    counts = zip(handed, joined, (~stopped).reshape(frames, starts).sum(axis=1),
+    counts = zip(joined, (~stopped).reshape(frames, starts).sum(axis=1),
                  block_iterations, used.reshape(frames, starts).max(axis=1), best, basins)
     out = []
-    for handed_j, joined_j, hit, block_j, polish_j, b, basin in counts:
+    for joined_j, hit, block_j, polish_j, b, basin in counts:
         diagnostics = SearchDiagnostics(
             starts=starts,
-            block_converged=starts - int(handed_j) - int(joined_j),
             joined=int(joined_j),
-            polished=int(handed_j) if budget > 0 else 0,
+            polished=starts - int(joined_j) if budget > 0 else 0,
             hit_budget=int(hit),
             block_iterations=int(block_j),
             polish_iterations=int(polish_j),
@@ -726,21 +712,20 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
        is the minimum over unit pairs (xi, w) with w orthogonal to J xi of
        sum_k <Phi_k xi, w>^2, a quartic symmetric in xi and w; each half
        step minimizes one block exactly through a constrained eigenvector
-       computation, so the objective is nonincreasing.  A start stops when
-       its decrease per iteration is at most BLOCK_RTOL times trace R(xi),
-       or when it joins its frame's leader, the start with the lowest
-       value so far: it is not the leader, its value is within BASIN_RTOL
-       of the leader's (or within 2n eps trace R(xi)), and its rank-two
-       matrix x w* + w x* matches the leader's to an overlap of
+       computation, so the objective is nonincreasing.  A start leaves it
+       once its decrease per iteration is at most BLOCK_RTOL times
+       trace R(xi), or when it joins its frame's leader, the start with the
+       lowest value so far: it is not the leader, its value is within
+       BASIN_RTOL of the leader's (or within 2n eps trace R(xi)), and its
+       rank-two matrix x w* + w x* matches the leader's to an overlap of
        1 - BASIN_OVERLAP_TOL.  A joined start keeps its pair and skips
        phase 2; the leader goes on, so the margin still comes from the
        lowest final value.
-    2. The starts still descending after phase 1 finish with a batched
-       Riemannian Newton method on f(xi) = lambda_2(R(xi)) over the unit
-       sphere (``_polish``), for the rest of their budget.  Block descent
-       stalls in narrow valleys where this converges.  So does each frame's
-       leader at most TAU_NPR trace R(xi) above zero, as the decrease rule
-       cannot tell it converged, and ``certify_complex`` needs it resolved.
+    2. Every start that did not join finishes with a batched Riemannian
+       Newton method on f(xi) = lambda_2(R(xi)) over the unit sphere
+       (``_polish``), for the rest of the budget: block descent stalls in
+       narrow valleys, and its decrease rule cannot tell a start near zero
+       converged, where ``certify_complex`` needs it resolved.
 
     The reported a0 is the smallest second eigenvalue (``eigvalsh``) of
     R(xi) over the final directions.  It is an upper bound on the true
@@ -864,9 +849,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Estimate the margin with ``estimate_a0`` at its default budget
-       MAX_ITER; its Newton phase has already resolved a leader within
-       TAU_NPR trace R(xi) of zero.  One ``eigvalsh`` of R at the witness
-       then decides, in this order:
+       MAX_ITER; its Newton phase has already finished every start that
+       did not join, the leader near zero included.  One ``eigvalsh`` of
+       R at the witness then decides, in this order:
 
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:

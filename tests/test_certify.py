@@ -15,7 +15,6 @@ import pytest
 
 from framecert import certify as certify_module
 from framecert import (
-    TAU_NPR,
     TAU_PR,
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_RETRIEVABLE,
@@ -126,6 +125,11 @@ def test_max_iter_is_the_budget_over_both_phases():
     short = estimate_a0(rf, starts=2, max_iter=cap // 2).diagnostics
     assert (short.polished, short.polish_iterations, short.hit_budget) == (0, 0, 2)
     assert short.best_hit_budget
+    # with no Newton budget a start that stops on its decrease just stops;
+    # on this kernel frame every start stops at iteration 2
+    kernel = RealifiedFrame.from_frame(trivial_non_retrievable(3, 8))
+    flat = estimate_a0(kernel, starts=16, max_iter=cap).diagnostics
+    assert (flat.polished, flat.hit_budget, flat.block_iterations) == (0, 0, 2)
 
 
 def test_newton_phase_step_counts():
@@ -141,7 +145,7 @@ def test_search_diagnostics_count_every_start():
         estimate = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
         d = estimate.diagnostics
         assert d.starts == 16
-        assert d.block_converged + d.joined + d.polished == 16
+        assert d.joined + d.polished == 16
         assert 0 <= d.hit_budget <= d.polished
         assert d.block_iterations <= certify_module.BLOCK_ITERS
         assert d.best_iterations <= d.block_iterations + d.polish_iterations
@@ -150,16 +154,18 @@ def test_search_diagnostics_count_every_start():
         assert again.diagnostics == d and again[0] == estimate[0]
         copied = pickle.loads(pickle.dumps(estimate))
         assert copied.diagnostics == d and copied[0] == estimate[0]
-    # BH n=2 converges in the block descent; BH n=5 needs the Newton phase
-    assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.polished == 0
-    assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polished > 0
+    # BH n=2 converges in the block descent, so the one start that does not
+    # join takes no Newton step; BH n=5 needs the Newton phase
+    d = estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics
+    assert (d.joined, d.polished, d.polish_iterations) == (15, 1, 0)
+    assert estimate_a0(RealifiedFrame.from_frame(bh(5)), starts=16).diagnostics.polish_iterations > 0
     # every start of BH n=2 ends at the one minimizing matrix x w* + w x*
     assert estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics.best_basin_starts == 16
 
 
 def test_bh2_starts_join_the_leading_basin_in_the_block_descent():
     d = estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=64).diagnostics
-    assert d.joined > 0 and d.polished == 0
+    assert (d.joined, d.polished, d.polish_iterations) == (63, 1, 0)
     assert d.best_basin_starts == 64
 
 
@@ -215,6 +221,14 @@ def test_joining_keeps_verdict_and_margin(monkeypatch, name, starts):
             or (_zero_to_rounding(fr, joining) and _zero_to_rounding(fr, alone)))
 
 
+@pytest.mark.parametrize("starts", [16, 64])
+@pytest.mark.parametrize("name", sorted(JOIN_FRAMES))
+def test_every_start_that_does_not_join_goes_to_the_newton_phase(name, starts):
+    d = estimate_a0(RealifiedFrame.from_frame(JOIN_FRAMES[name]()), starts=starts).diagnostics
+    assert d.joined + d.polished == starts
+    assert d.hit_budget <= d.polished
+
+
 def test_estimate_a0_single_vector_in_c1():
     fr = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]))
     a0, witness = estimate_a0(RealifiedFrame.from_frame(fr), starts=8)
@@ -239,7 +253,7 @@ def test_estimate_a0_is_seed_stable_on_certified_frame():
 def test_estimate_a0_vanishes_on_non_retrievable_frame():
     rf = RealifiedFrame.from_frame(trivial_non_retrievable(2, 4))
     a0, witness = estimate_a0(rf, starts=16)
-    assert a0 < TAU_NPR
+    assert a0 < 1e-10
     assert rank_kernel_check(rf, witness).kernel_dim >= 2
 
 
@@ -430,8 +444,8 @@ def test_inconclusive_report_carries_no_kernel_excess():
 def test_a_witness_zero_to_rounding_is_not_retrievable_at_every_scale(k):
     # lambda_2 <= 2n eps lambda_max is tested before TAU_PR, so a large
     # scale cannot lift a kernel point's rounding noise above the threshold,
-    # and the leader is finished in the Newton phase below TAU_NPR trace R,
-    # a threshold that scales with the frame.  The two random frames have
+    # and every start that does not join, the leader included, is finished
+    # in the Newton phase, whose stopping rules scale with the frame.  The two random frames have
     # fewer vectors than hmw_lower (10 and 18), so no scale of them is
     # retrievable.
     for fr in (trivial_non_retrievable(2, 4), trivial_non_retrievable(3, 10),
@@ -450,7 +464,7 @@ def test_certify_real_frame_treated_over_c_is_not_retrievable():
     fr = ComplexFrame.from_vectors(r3_example().vectors, field="complex")
     rep = certify_complex(fr, starts=16)
     assert rep.verdict == VERDICT_NOT_RETRIEVABLE
-    assert rep.a0 < TAU_NPR
+    assert rep.a0 < 1e-10
 
 
 def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
@@ -460,7 +474,7 @@ def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
     fr = bh(5)
     rep = certify_complex(fr, starts=64)
     assert rep.verdict == VERDICT_INCONCLUSIVE
-    assert TAU_NPR < rep.a0 < TAU_PR
+    assert 1e-10 < rep.a0 < TAU_PR
     rf = RealifiedFrame.from_frame(fr)
     xi = rep.witness_xi
     vals, vecs = np.linalg.eigh(r_matrix(rf, xi))
@@ -472,12 +486,12 @@ def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
 
 
 def test_an_unresolved_margin_is_not_declared_not_retrievable():
-    # BH n=4 with the verbatim angles falls below TAU_NPR at 64 starts with
+    # BH n=4 with the verbatim angles falls below 1e-10 at 64 starts with
     # a two-dimensional kernel at RANK_RTOL, but lambda_2 / lambda_max stays
     # far above 2n eps once the Newton phase has finished its leader
     fr = bh(4, "verbatim")
     rep = certify_complex(fr, starts=64)
-    assert rep.a0 < TAU_NPR
+    assert rep.a0 < 1e-10
     assert rep.verdict == VERDICT_INCONCLUSIVE
     spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), rep.witness_xi))
     assert spectrum[1] > 2 * fr.n * np.finfo(float).eps * spectrum[-1]
@@ -622,7 +636,7 @@ def test_hmw_lower_bound_reference_values():
         bounds = hmw_lower_bound(n)
         assert bounds.hmw_lower == value
         assert bounds.two_n == 2 * n
-        assert bounds.conjectured_critical == 4 * n - 4
+        assert bounds.conjectured_critical == (1 if n == 1 else 4 * n - 4)
         assert bounds.generic_upper == 4 * n - 2
     with pytest.raises(ValueError):
         hmw_lower_bound(0)
@@ -638,7 +652,7 @@ def test_single_vector_line_meets_hmw_lower():
 def test_hmw_lower_bound_never_exceeds_generic_count():
     for n in range(1, 65):
         bounds = hmw_lower_bound(n)
-        assert bounds.hmw_lower <= bounds.generic_upper
+        assert bounds.hmw_lower <= bounds.conjectured_critical <= bounds.generic_upper
 
 
 def assert_counterexample(fr, pair):
@@ -745,12 +759,25 @@ def test_newton_model_at_a_direction_where_r_vanishes():
     xi = np.array([[0.0, 1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, _, used, stopped = certify_module._polish(rf, xi, 10, [np.inf])
+        out, _, used, stopped = certify_module._polish(rf, xi, 10)
         a0, witness = estimate_a0(rf, starts=8)
     np.testing.assert_array_equal(out, xi)
     assert used.tolist() == [0] and stopped.tolist() == [True]
     assert a0 == 0.0
     assert np.linalg.eigvalsh(r_matrix(rf, witness))[1] <= 1e-15
+
+
+def test_newton_phase_on_the_rows_of_only_the_last_frame_of_a_stack():
+    # every start of a frame may end joined, so the Newton phase can be
+    # handed rows of fewer frames than the stack holds
+    rfs = [RealifiedFrame.from_frame(random_frame(3, 10, seed=s)) for s in (0, 1)]
+    stack = certify_module._Stack(tuple(rfs), np.stack([rf.phi for rf in rfs]),
+                                  np.stack([rf.Jphi for rf in rfs]), np.array([1]))
+    X = certify_module._start_direction(5, 6)[None, :]
+    stacked = certify_module._polish(stack, X, 50)
+    alone = certify_module._polish(rfs[1], X, 50)
+    for a, b in zip(stacked, alone):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_oracle_agrees_with_verdicts_on_reference_frames():

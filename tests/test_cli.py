@@ -57,11 +57,11 @@ def test_certify_complex_frame_routes_to_eigen(frames, capsys):
 def test_certify_json_carries_the_search_diagnostics(frames, capsys):
     _, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
     diag = doc["report"]["diagnostics"]
-    assert set(diag) == {"starts", "block_converged", "joined", "polished", "hit_budget",
+    assert set(diag) == {"starts", "joined", "polished", "hit_budget",
                          "block_iterations", "polish_iterations", "best_iterations",
                          "best_hit_budget", "best_basin_starts"}
     assert diag["starts"] == 16
-    assert diag["block_converged"] + diag["joined"] + diag["polished"] == 16
+    assert diag["joined"] + diag["polished"] == 16
     _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
     assert again == doc
     _, real = run_json(capsys, ["certify", "--frame", frames["r3"]])

@@ -215,7 +215,7 @@ def test_polish_never_raises_lambda_2(n, extra, rows, budget, seed):
     rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(complex_gaussian(rng, 2 * n + extra, n)))
     X = rng.standard_normal((rows, 2 * n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    out, _, used, _ = certify_module._polish(rf, X, budget, [np.inf])
+    out, _, used, _ = certify_module._polish(rf, X, budget)
     before = np.linalg.eigvalsh(r_matrices(rf, X))
     after = np.linalg.eigvalsh(r_matrices(rf, out))
     slack = 1e-12 * np.trace(r_matrices(rf, X), axis1=1, axis2=2)
