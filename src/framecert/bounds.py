@@ -6,7 +6,7 @@ bounds`` starts without it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["CardinalityBounds", "hmw_lower_bound"]
 
@@ -25,9 +25,6 @@ class CardinalityBounds:
     two_n: int
     conjectured_critical: int
     generic_upper: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def hmw_lower_bound(n: int) -> CardinalityBounds:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -161,9 +161,8 @@ class SearchDiagnostics:
 
     ``starts`` is the number of starts; ``joined`` of them stopped in the
     block descent (phase 1) on joining the basin of their frame's leading
-    start, and ``polished`` went on to the Newton phase, so the two sum to
-    ``starts`` whenever the budget leaves room for that phase (and
-    ``polished`` is 0 when it does not).  ``hit_budget`` counts the starts
+    start, and every other one goes on to the Newton phase whenever the
+    budget leaves room for it.  ``hit_budget`` counts the starts
     that used all max_iter iterations without meeting a stopping rule.
     ``block_iterations`` and ``polish_iterations`` count the batched
     iterations of each phase (a Newton step is one iteration),
@@ -180,16 +179,12 @@ class SearchDiagnostics:
 
     starts: int
     joined: int
-    polished: int
     hit_budget: int
     block_iterations: int
     polish_iterations: int
     best_iterations: int
     best_hit_budget: bool
     best_basin_starts: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class MarginEstimate(tuple):
@@ -236,21 +231,6 @@ class CertificationReport:
     method: str
     failing_partition: Optional[tuple[int, ...]] = None
     diagnostics: Optional[SearchDiagnostics] = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "verdict": self.verdict,
-            "a0": self.a0,
-            "witness_xi": None if self.witness_xi is None else [float(v) for v in self.witness_xi],
-            "method": self.method,
-            "kernel_excess": None if self.kernel_excess is None else [float(v) for v in self.kernel_excess],
-            "diagnostics": None if self.diagnostics is None else self.diagnostics.to_dict(),
-        }
-        if self.method == "complement":
-            doc["failing_partition"] = (
-                None if self.failing_partition is None else list(self.failing_partition)
-            )
-        return doc
 
 
 @dataclass(frozen=True)
@@ -666,11 +646,11 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     stopped[active] = False
     # every row that did not join goes on, with the budget phase 1 left
     budget = max_iter - min(BLOCK_ITERS, max_iter)
-    polished = (joined_to < 0).nonzero()[0]
+    newton = (joined_to < 0).nonzero()[0]
     used = np.zeros(X.shape[0], dtype=np.int64)
-    if budget > 0 and polished.size:
-        X[polished], W[polished], used[polished], stopped[polished] = _polish(
-            _take(rows, polished), X[polished], budget)
+    if budget > 0 and newton.size:
+        X[newton], W[newton], used[newton], stopped[newton] = _polish(
+            _take(rows, newton), X[newton], budget)
         iterations += used
     R = _r_matrices(rows, X)
     finals = np.linalg.eigvalsh(R)[:, 1]
@@ -684,7 +664,6 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         diagnostics = SearchDiagnostics(
             starts=starts,
             joined=int(joined_j),
-            polished=starts - int(joined_j) if budget > 0 else 0,
             hit_budget=int(hit),
             block_iterations=int(block_j),
             polish_iterations=int(polish_j),

@@ -14,7 +14,8 @@ complement property, a complex one to the spectral margin.  To certify a
 real frame treated over C, label it complex.  rho and experiment perturb
 work only over C, so they refuse a real-labelled frame with n >= 2 as a
 usage error.  Every JSON report carries the parsed command line, without
---output, as its ``config`` envelope.
+--output, as its ``config`` envelope; a report dataclass is written as its
+fields (``_json_default``).
 
 Each command imports the library modules it runs inside its handler, so a
 process loads only those: ``bounds`` loads no numpy, and ``construct``
@@ -24,6 +25,7 @@ loads neither the certifier nor the stability module.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -115,13 +117,25 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _wrap(args: argparse.Namespace, report: dict) -> str:
+def _json_default(obj):
+    """``json.dumps`` hook: a dataclass becomes its fields, a numpy array or
+    scalar its Python value.  numpy is looked up only if already loaded, so
+    ``bounds`` still runs without it."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _wrap(args: argparse.Namespace, report: object) -> str:
     """The JSON report with the command line that produced it, minus
     --output, as its ``config`` envelope."""
     config = {key: value for key, value in vars(args).items() if key != "output"}
     return json.dumps(
         {"version": __version__, "config": config, "report": report},
-        indent=2,
+        indent=2, default=_json_default,
     )
 
 
@@ -140,7 +154,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         report = certify_real(fr)
     else:
         report = certify_complex(fr, starts=args.starts, seed=args.seed)
-    _emit(_wrap(args, report.to_dict()), args.output)
+    _emit(_wrap(args, report), args.output)
     return _verdict_exit(report.verdict)
 
 
@@ -162,16 +176,13 @@ def _cmd_rho(args: argparse.Namespace) -> int:
     _require_complex(fr, args.frame, "rho")
     report = certify_complex(fr, starts=args.starts, seed=args.seed)
     code = _verdict_exit(report.verdict)
-    if code != 0:
-        _emit(_wrap(args, {"certification": report.to_dict(), "stability_radius": None}),
-              args.output)
-        return code
-    from .stability import stability_radius
+    radius = None
+    if code == 0:
+        from .stability import stability_radius
 
-    radius = stability_radius(fr, report.a0)
-    _emit(_wrap(args, {"certification": report.to_dict(),
-                       "stability_radius": radius.to_dict()}), args.output)
-    return 0
+        radius = stability_radius(fr, report.a0)
+    _emit(_wrap(args, {"certification": report, "stability_radius": radius}), args.output)
+    return code
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -214,7 +225,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.format == "csv":
             _emit(report.to_csv(), args.output)
         else:
-            _emit(_wrap(args, report.to_dict()), args.output)
+            _emit(_wrap(args, report), args.output)
         return 0
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
@@ -246,7 +257,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import hmw_lower_bound
 
     bounds = hmw_lower_bound(args.n)
-    _emit(_wrap(args, bounds.to_dict()), args.output)
+    _emit(_wrap(args, bounds), args.output)
     return 0
 
 

@@ -100,10 +100,6 @@ def rank_by_svd(mat: np.ndarray) -> int:
     return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
 
 
-def _infer_field(vectors: np.ndarray) -> str:
-    return "real" if np.all(vectors.imag == 0.0) else "complex"
-
-
 @dataclass(frozen=True)
 class ComplexFrame:
     """An ordered family of m vectors in C^n, stored as the rows of a
@@ -142,13 +138,14 @@ class ComplexFrame:
 
     @classmethod
     def from_vectors(cls, vectors, field: str | None = None) -> "ComplexFrame":
-        """Build a frame from any (m, n) array-like; infer the field label
-        when none is given."""
+        """Build a frame from any (m, n) array-like.  Without an explicit
+        ``field`` the label follows the dtype: complex for a complex array,
+        whatever its values, and real otherwise."""
+        if field is None:
+            field = "complex" if np.iscomplexobj(vectors) else "real"
         vecs = np.asarray(vectors, dtype=np.complex128)
         if vecs.ndim != 2:
             raise ValueError(f"vectors must be 2-dimensional, got shape {vecs.shape}")
-        if field is None:
-            field = _infer_field(vecs)
         m, n = vecs.shape
         return cls(n=n, m=m, vectors=vecs, field=field)
 

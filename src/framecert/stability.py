@@ -10,7 +10,7 @@ on, sample by sample.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -39,9 +39,6 @@ EXPERIMENT_DISCLAIMER = (
     "every perturbation within the radius."
 )
 
-CSV_HEADER = "trial,seed,max_delta,B_prime,verdict,a0_estimate"
-
-
 @dataclass(frozen=True)
 class StabilityRadius:
     """Guaranteed perturbation radius together with the quantities it is
@@ -54,18 +51,18 @@ class StabilityRadius:
     a1: float
     m: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PerturbationTrial:
     trial: int
     seed: int
     max_delta: float
-    b_prime: float
+    B_prime: float
     verdict: str
     a0_estimate: Optional[float]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(PerturbationTrial))
 
 
 @dataclass(frozen=True)
@@ -76,36 +73,13 @@ class StabilityExperimentReport:
 
     rho: float
     radius_fraction: float
-    base_b: float
+    base_B: float
     base_a0: float
     trials: tuple[PerturbationTrial, ...]
     b_prime_max: float
     failures: int
     seed: int
     disclaimer: str = EXPERIMENT_DISCLAIMER
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "radius_fraction": self.radius_fraction,
-            "base_B": self.base_b,
-            "base_a0": self.base_a0,
-            "b_prime_max": self.b_prime_max,
-            "failures": self.failures,
-            "seed": self.seed,
-            "disclaimer": self.disclaimer,
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "seed": t.seed,
-                    "max_delta": t.max_delta,
-                    "B_prime": t.b_prime,
-                    "verdict": t.verdict,
-                    "a0_estimate": t.a0_estimate,
-                }
-                for t in self.trials
-            ],
-        }
 
     def to_csv(self) -> str:
         """One row per trial, floats rendered with %.17g and '.' as the
@@ -116,7 +90,7 @@ class StabilityExperimentReport:
             a0_field = "" if t.a0_estimate is None else format(t.a0_estimate, ".17g")
             buf.write(
                 f"{t.trial},{t.seed},{format(t.max_delta, '.17g')},"
-                f"{format(t.b_prime, '.17g')},{t.verdict},{a0_field}\n"
+                f"{format(t.B_prime, '.17g')},{t.verdict},{a0_field}\n"
             )
         return buf.getvalue()
 
@@ -247,13 +221,13 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
         if rep.verdict != VERDICT_RETRIEVABLE:
             failures += 1
         rows.append(PerturbationTrial(
-            trial=i, seed=seeds[i], max_delta=delta, b_prime=b_prime,
+            trial=i, seed=seeds[i], max_delta=delta, B_prime=b_prime,
             verdict=rep.verdict, a0_estimate=rep.a0,
         ))
     return StabilityExperimentReport(
         rho=radius_info.rho,
         radius_fraction=radius_fraction,
-        base_b=radius_info.B,
+        base_B=radius_info.B,
         base_a0=radius_info.a0,
         trials=tuple(rows),
         b_prime_max=b_prime_max,

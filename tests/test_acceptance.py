@@ -156,9 +156,9 @@ def test_criterion_05_stability_radius_validation():
     report = stability_experiment(fr, trials=100, radius_fraction=0.99,
                                   seed=42, starts=64)
     assert report.failures == 0
-    cap = 2.0 * (report.base_b + 1.0) + 1e-9
+    cap = 2.0 * (report.base_B + 1.0) + 1e-9
     for row in report.trials:
-        assert row.b_prime <= cap
+        assert row.B_prime <= cap
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"criterion 5 PASS (100/100 retrievable, B' max "

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from framecert import (
     BodmannHammenParams,
+    CardinalityBounds,
+    CertificationReport,
     ComplexFrame,
+    PerturbationTrial,
+    SearchDiagnostics,
+    StabilityExperimentReport,
+    StabilityRadius,
     bodmann_hammen,
     certify_complex,
     dump_frame,
@@ -17,7 +24,7 @@ from framecert import (
     r3_example,
     trivial_non_retrievable,
 )
-from framecert.cli import main
+from framecert.cli import _json_default, main
 
 
 @pytest.fixture()
@@ -38,6 +45,18 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+def assert_certification_keys(report):
+    """A certification JSON report is its dataclass's fields, in order, and
+    so are its diagnostics when the margin search ran."""
+    assert list(report) == field_names(CertificationReport)
+    if report["diagnostics"] is not None:
+        assert list(report["diagnostics"]) == field_names(SearchDiagnostics)
+
+
 def test_certify_real_frame_routes_to_complement(frames, capsys):
     code, doc = run_json(capsys, ["certify", "--frame", frames["r3"]])
     assert code == 0
@@ -54,18 +73,29 @@ def test_certify_complex_frame_routes_to_eigen(frames, capsys):
     assert doc["report"]["a0"] > 1e-6
 
 
-def test_certify_json_carries_the_search_diagnostics(frames, capsys):
+def test_certify_json_carries_the_search_diagnostics(frames, capsys, tmp_path):
     _, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    assert_certification_keys(doc["report"])
+    assert doc["report"]["failing_partition"] is None
     diag = doc["report"]["diagnostics"]
-    assert set(diag) == {"starts", "joined", "polished", "hit_budget",
+    assert set(diag) == {"starts", "joined", "hit_budget",
                          "block_iterations", "polish_iterations", "best_iterations",
                          "best_hit_budget", "best_basin_starts"}
     assert diag["starts"] == 16
-    assert diag["joined"] + diag["polished"] == 16
+    assert 0 < diag["joined"] < 16
+    assert diag["hit_budget"] <= diag["starts"] - diag["joined"]
     _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
     assert again == doc
     _, real = run_json(capsys, ["certify", "--frame", frames["r3"]])
+    assert_certification_keys(real["report"])
     assert real["report"]["diagnostics"] is None
+    # three vectors in C^2: the cardinality precheck decides, with no search
+    p = tmp_path / "three.json"
+    dump_frame(ComplexFrame.from_vectors(np.eye(3, 2), field="complex"), str(p))
+    code, few = run_json(capsys, ["certify", "--frame", str(p)])
+    assert (code, few["report"]["method"]) == (1, "cardinality")
+    assert_certification_keys(few["report"])
+    assert few["report"]["diagnostics"] is None
 
 
 def test_certify_exit_codes_by_verdict(frames, capsys, tmp_path):
@@ -119,7 +149,10 @@ def test_certify_complement_decides_thirty_vectors_in_r3(tmp_path, capsys):
 def test_rho_reports_radius(frames, capsys):
     code, doc = run_json(capsys, ["rho", "--frame", frames["bh2"], "--starts", "16"])
     assert code == 0
+    assert list(doc["report"]) == ["certification", "stability_radius"]
+    assert_certification_keys(doc["report"]["certification"])
     radius = doc["report"]["stability_radius"]
+    assert list(radius) == field_names(StabilityRadius)
     assert radius["rho"] > 0.0
     assert radius["rho"] <= 1.0 / np.sqrt(4)
     assert doc["report"]["certification"]["verdict"] == "Retrievable"
@@ -179,6 +212,7 @@ def test_experiment_perturb_csv(frames, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "trial,seed,max_delta,B_prime,verdict,a0_estimate"
+    assert lines[0].split(",") == field_names(PerturbationTrial)
     assert len(lines) == 4
     assert all(line.split(",")[4] == "Retrievable" for line in lines[1:])
 
@@ -189,6 +223,9 @@ def test_experiment_perturb_json(frames, capsys):
     assert code == 0
     assert doc["report"]["failures"] == 0
     assert len(doc["report"]["trials"]) == 2
+    assert list(doc["report"]) == field_names(StabilityExperimentReport)
+    for trial in doc["report"]["trials"]:
+        assert list(trial) == field_names(PerturbationTrial)
 
 
 def test_experiment_perturb_non_retrievable_base(frames, capsys):
@@ -231,6 +268,7 @@ def test_bounds_command(capsys):
     assert code == 0
     assert doc["report"]["hmw_lower"] == 10
     assert doc["report"]["generic_upper"] == 14
+    assert list(doc["report"]) == field_names(CardinalityBounds)
     assert main(["bounds", "--n", "0"]) == 64
 
 
@@ -278,8 +316,10 @@ def test_output_file_writing(frames, tmp_path, capsys):
     assert doc["report"]["verdict"] == "Retrievable"
 
 
-def test_rho_on_single_vector_line(tmp_path, capsys):
-    one = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rho_on_single_vector_line(tmp_path, capsys, field):
+    # rho refuses real-labelled frames only for n >= 2
+    one = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]), field=field)
     p = tmp_path / "one.json"
     dump_frame(one, str(p))
     code, doc = run_json(capsys, ["rho", "--frame", str(p), "--starts", "8"])
@@ -376,3 +416,18 @@ def test_output_file_gets_the_bytes_stdout_gets(frames, tmp_path, capsys, argv):
         dumped = tmp_path / "dumped.json"
         dump_frame(bodmann_hammen(BodmannHammenParams(n=2)), str(dumped))
         assert out.read_bytes() == dumped.read_bytes()
+
+
+def test_json_default_writes_reports_as_their_fields():
+    rep = certify_complex(bodmann_hammen(BodmannHammenParams(n=2)), starts=8)
+    doc = json.loads(json.dumps(rep, default=_json_default))
+    assert doc["verdict"] == "Retrievable"
+    assert len(doc["witness_xi"]) == 4
+    assert doc["witness_xi"] == rep.witness_xi.tolist()
+    assert doc["diagnostics"] == asdict(rep.diagnostics)
+    assert doc["diagnostics"]["starts"] == 8
+    assert json.dumps([np.int64(3), np.float32(0.5), np.bool_(True)],
+                      default=_json_default) == "[3, 0.5, true]"
+    for unknown in (object(), {1, 2}, CertificationReport):
+        with pytest.raises(TypeError):
+            json.dumps(unknown, default=_json_default)

@@ -74,6 +74,8 @@ def test_frame_field_inference_and_validation():
     assert real.field == "real"
     comp = ComplexFrame.from_vectors(np.array([[1.0, 1j], [1j, 1.0]]))
     assert comp.field == "complex"
+    # the label follows the dtype, not the values
+    assert ComplexFrame.from_vectors(np.array([[1.0 + 0j]])).field == "complex"
     with pytest.raises(ValueError):
         ComplexFrame.from_vectors(np.array([[1.0, 1e-30j], [0, 1]]), field="real")
     with pytest.raises(ValueError):

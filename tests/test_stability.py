@@ -112,7 +112,7 @@ def test_stability_experiment_inside_the_radius_never_fails():
         assert row.verdict == VERDICT_RETRIEVABLE
         assert 0.0 < row.max_delta < 0.99 * report.rho
         assert row.a0_estimate > 0.0
-    assert report.b_prime_max == max(r.b_prime for r in report.trials)
+    assert report.b_prime_max == max(r.B_prime for r in report.trials)
 
 
 def test_stability_experiment_with_joining_matches_the_search_without_it(monkeypatch):
@@ -205,16 +205,17 @@ def test_stability_experiment_csv_shape():
     assert cells[0] == "0" and cells[1] == "6"
     # %.17g fields round-trip to the exact doubles
     assert float(cells[2]) == report.trials[0].max_delta
-    assert float(cells[3]) == report.trials[0].b_prime
+    assert float(cells[3]) == report.trials[0].B_prime
     assert "." in cells[2]
 
 
 def test_stability_experiment_report_dict_carries_disclaimer():
     import json
 
+    from framecert.cli import _json_default
+
     report = stability_experiment(bh2(), trials=2, starts=8, seed=7)
-    doc = report.to_dict()
-    json.dumps(doc)
+    doc = json.loads(json.dumps(report, default=_json_default))
     assert "not prove" in doc["disclaimer"]
     assert doc["failures"] == 0
     assert len(doc["trials"]) == 2
