@@ -214,23 +214,29 @@ class CertificationReport:
 
     ``method`` records which route produced the verdict: "cardinality"
     (too few vectors), "not-a-frame", "eigen" (spectral margin), or
-    "complement" (real bipartition check).  ``witness_xi`` is the unit
-    realified direction achieving the reported margin; ``kernel_excess`` is
-    set only on an eigen NotRetrievable report, to that witness, where the
-    second eigenvalue of r_matrix is zero to rounding, so its kernel has
-    dimension >= 2.  An eigen ``a0`` is the search's lambda_2 there, or
-    the cross-check's worst ratio when lower.  ``failing_partition`` is set
-    only by the complement route, ``diagnostics`` (the margin search's
-    convergence counts) only by the eigen route.
+    "complement" (real bipartition check).  ``a0``, ``witness_xi`` and
+    ``diagnostics`` (the margin search's convergence counts) are set only
+    by the eigen route, ``failing_partition`` only by the complement
+    route.  ``witness_xi`` is the unit realified direction achieving the
+    reported margin; ``a0`` is the search's lambda_2 there, or the
+    cross-check's worst ratio when lower.
     """
 
     verdict: str
-    a0: Optional[float]
-    witness_xi: Optional[np.ndarray]
-    kernel_excess: Optional[np.ndarray]
     method: str
+    a0: Optional[float] = None
+    witness_xi: Optional[np.ndarray] = None
     failing_partition: Optional[tuple[int, ...]] = None
     diagnostics: Optional[SearchDiagnostics] = None
+
+    @property
+    def kernel_excess(self) -> Optional[np.ndarray]:
+        """The witness of an eigen NotRetrievable report, where the second
+        eigenvalue of r_matrix is zero to rounding, so its kernel has
+        dimension >= 2; None on every other report."""
+        if self.method == "eigen" and self.verdict == VERDICT_NOT_RETRIEVABLE:
+            return self.witness_xi
+        return None
 
 
 @dataclass(frozen=True)
@@ -250,13 +256,16 @@ class ComplementResult:
 
     ``failing_partition`` is a 0/1 tuple of length m splitting the vectors
     in a hyperplane H against the rest, neither side spanning, oriented so
-    that vector 0 is on side 1 (marked 1); it is None when the property
-    holds.  When the family does not span, H contains every vector and the
-    tuple is all ones.
+    that vector 0 is on side 1 (marked 1); it is None exactly when the
+    property ``holds``.  When the family does not span, H contains every
+    vector and the tuple is all ones.
     """
 
-    holds: bool
     failing_partition: Optional[tuple[int, ...]]
+
+    @property
+    def holds(self) -> bool:
+        return self.failing_partition is None
 
 
 @dataclass(frozen=True)
@@ -349,10 +358,7 @@ def _start_direction(seed: int, two_n: int) -> np.ndarray:
     """Unit start direction drawn from a generator seeded with ``seed``;
     cached (read-only) because neighbouring calls share most of their
     seeds."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(two_n)
-    while np.linalg.norm(v) == 0.0:
-        v = rng.standard_normal(two_n)
+    v = np.random.default_rng(seed).standard_normal(two_n)
     v = v / np.linalg.norm(v)
     v.setflags(write=False)
     return v
@@ -834,7 +840,7 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
 
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:
-         NotRetrievable, with the witness as ``kernel_excess``;
+         NotRetrievable, the witness a point of that kernel;
        * a0 > TAU_PR: the margin becomes the smaller of a0 and the worst
          ratio of the two sides of the separation inequality over
          CROSS_CHECK_PAIRS random pairs (drawn from a generator seeded with
@@ -860,8 +866,7 @@ def _precheck(fr: ComplexFrame) -> Optional[CertificationReport]:
         method = "not-a-frame"
     else:
         return None
-    return CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, a0=None, witness_xi=None,
-                               kernel_excess=None, method=method)
+    return CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method=method)
 
 
 def _certify_frames(frames: list[ComplexFrame], starts: int,
@@ -889,11 +894,9 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
     """``certify_complex`` step 3 after the margin search."""
     a0, witness = estimate
     spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
-    kernel_excess = None
     if spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]:
         # the second eigenvalue is zero to rounding: a kernel beyond J xi
         verdict = VERDICT_NOT_RETRIEVABLE
-        kernel_excess = witness
     elif a0 > TAU_PR:
         X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, fr.n)
         left, factor = separation_sides(fr, X, Y)
@@ -904,8 +907,8 @@ def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
         verdict = VERDICT_INCONCLUSIVE
 
     return CertificationReport(
-        verdict=verdict, a0=a0, witness_xi=witness, kernel_excess=kernel_excess,
-        method="eigen", diagnostics=estimate.diagnostics,
+        verdict=verdict, method="eigen", a0=a0, witness_xi=witness,
+        diagnostics=estimate.diagnostics,
     )
 
 
@@ -917,11 +920,8 @@ def certify_real(fr: ComplexFrame) -> CertificationReport:
     """
     result = complement_property(fr)
     verdict = VERDICT_RETRIEVABLE if result.holds else VERDICT_NOT_RETRIEVABLE
-    return CertificationReport(
-        verdict=verdict, a0=None, witness_xi=None, kernel_excess=None,
-        method="complement",
-        failing_partition=result.failing_partition,
-    )
+    return CertificationReport(verdict=verdict, method="complement",
+                               failing_partition=result.failing_partition)
 
 
 def _hyperplane_normal(B: np.ndarray) -> Optional[np.ndarray]:
@@ -966,7 +966,7 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
             f"got C({m}, {n - 1}) = {candidates}"
         )
     if not fr.is_frame:
-        return ComplementResult(holds=False, failing_partition=(1,) * m)
+        return ComplementResult(failing_partition=(1,) * m)
     V = fr.vectors.real
     lengths = np.linalg.norm(V, axis=1)
     for subset in itertools.combinations(range(m), n - 1):
@@ -977,11 +977,8 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
         if rank_by_svd(V[~in_h]) == n or rank_by_svd(V[in_h]) == n:
             continue
         side_one = in_h if in_h[0] else ~in_h
-        return ComplementResult(
-            holds=False,
-            failing_partition=tuple(int(b) for b in side_one),
-        )
-    return ComplementResult(holds=True, failing_partition=None)
+        return ComplementResult(failing_partition=tuple(int(b) for b in side_one))
+    return ComplementResult(failing_partition=None)
 
 
 def _plain_magnitudes(vectors, x) -> list[float]:

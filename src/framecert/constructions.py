@@ -16,20 +16,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import ComplexFrame, rank_by_svd
-from .errors import (
-    BadCardinality,
-    FramecertError,
-    NotAFrame,
-    SelectionFailed,
-    ShapeMismatch,
-)
+from .errors import FramecertError
 
 __all__ = [
     "BodmannHammenParams",
     "FramePath",
     "ANGLE_DENY_TOL",
     "MAX_SUBSET_SCAN",
-    "RANDOM_FRAME_RETRIES",
     "bodmann_hammen",
     "denied_angles",
     "r3_example",
@@ -41,7 +34,6 @@ __all__ = [
 
 ANGLE_DENY_TOL = 1e-12
 MAX_SUBSET_SCAN = 100_000
-RANDOM_FRAME_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def trivial_non_retrievable(n: int, m: int) -> ComplexFrame:
     phase retrievable for n >= 2 (all mass repeats one coordinate, so the
     relative phase between coordinates is invisible)."""
     if not m >= n >= 2:
-        raise BadCardinality(f"need m >= n >= 2, got n={n}, m={m}")
+        raise FramecertError(f"need m >= n >= 2, got n={n}, m={m}")
     vectors = np.zeros((m, n), dtype=np.complex128)
     for i in range(n):
         vectors[i, i] = 1.0
@@ -147,21 +139,18 @@ def trivial_non_retrievable(n: int, m: int) -> ComplexFrame:
 
 def random_frame(n: int, m: int, seed: int = 42) -> ComplexFrame:
     """Frame of m standard complex Gaussian vectors in C^n, entries
-    (g + i g') / sqrt(2).  Redraws a non-spanning family up to
-    RANDOM_FRAME_RETRIES times before raising FramecertError
-    (m < n exhausts the retries immediately, since no family can span).
+    (g + i g') / sqrt(2), from one draw.  For m >= n the draw spans with
+    probability one; one that does not, as always for m < n, raises
+    FramecertError, so no non-frame is returned.
     """
     if n < 1 or m < 1:
-        raise BadCardinality(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        raise FramecertError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    for _ in range(RANDOM_FRAME_RETRIES):
-        vectors = (rng.standard_normal((m, n))
-                   + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-        if rank_by_svd(vectors) == n:
-            return ComplexFrame.from_vectors(vectors, field="complex")
-    raise FramecertError(
-        f"no spanning family after {RANDOM_FRAME_RETRIES} draws (n={n}, m={m})"
-    )
+    vectors = (rng.standard_normal((m, n))
+               + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    if rank_by_svd(vectors) < n:
+        raise FramecertError(f"the m={m} drawn vectors do not span C^{n}")
+    return ComplexFrame.from_vectors(vectors, field="complex")
 
 
 @dataclass(frozen=True)
@@ -189,27 +178,27 @@ def connect_frames(start: ComplexFrame, end: ComplexFrame) -> FramePath:
     During the first segment the I block is pinned (it spans on its own)
     while the rest slide toward their end vectors; during the second the
     complementary block is pinned while the I block slides.  Scans
-    n-subsets in lexicographic order and raises SelectionFailed after
+    n-subsets in lexicographic order and raises FramecertError after
     MAX_SUBSET_SCAN candidates or when none works; such a subset always
     exists when both families are generic, but not for every pair of
     frames.
     """
     if start.n != end.n or start.m != end.m:
-        raise ShapeMismatch(
+        raise FramecertError(
             f"frames differ in shape: ({start.m}, {start.n}) vs ({end.m}, {end.n})"
         )
     n, m = start.n, start.m
     if m < 2 * n:
         raise FramecertError(f"path construction needs m >= 2n, got m={m}, n={n}")
     if not start.is_frame:
-        raise NotAFrame("start family does not span")
+        raise FramecertError("start family does not span")
     if not end.is_frame:
-        raise NotAFrame("end family does not span")
+        raise FramecertError("end family does not span")
     scanned = 0
     for combo in itertools.combinations(range(m), n):
         scanned += 1
         if scanned > MAX_SUBSET_SCAN:
-            raise SelectionFailed(
+            raise FramecertError(
                 f"no admissible anchor subset within {MAX_SUBSET_SCAN} candidates"
             )
         if rank_by_svd(start.vectors[list(combo)]) != n:
@@ -223,7 +212,7 @@ def connect_frames(start: ComplexFrame, end: ComplexFrame) -> FramePath:
             index_set=combo,
             complement=tuple(rest),
         )
-    raise SelectionFailed(
+    raise FramecertError(
         "no n-subset has independent start vectors and a spanning end complement"
     )
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FramecertError, NotAFrame
+from .errors import FramecertError
 
 __all__ = [
     "RANK_RTOL",
@@ -315,11 +315,11 @@ def transform_frame(fr: ComplexFrame, T: np.ndarray, z: np.ndarray) -> ComplexFr
 def _checked_frame_operator(fr: ComplexFrame) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the frame operator S.
 
-    Raises NotAFrame when the family does not span, and FramecertError when
-    S has a condition number of at least COND_CAP.
+    Raises FramecertError when the family does not span, or when S has a
+    condition number of at least COND_CAP.
     """
     if not fr.is_frame:
-        raise NotAFrame("the family does not span")
+        raise FramecertError("the family does not span")
     w, U = np.linalg.eigh(frame_bounds(fr).S)
     if w[0] <= w[-1] / COND_CAP:
         cond = w[-1] / w[0] if w[0] > 0.0 else np.inf

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .core import ComplexFrame
-from .errors import FrameFormatError
+from .errors import FramecertError
 
 __all__ = ["frame_to_dict", "frame_from_dict", "dump_frame", "load_frame"]
 
@@ -31,56 +31,56 @@ def frame_to_dict(fr: ComplexFrame) -> dict[str, Any]:
 
 def _require_positive_int(doc: dict, key: str) -> int:
     if key not in doc:
-        raise FrameFormatError(f"missing field '{key}'")
+        raise FramecertError(f"missing field '{key}'")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FrameFormatError(f"field '{key}' must be an integer, got {value!r}")
+        raise FramecertError(f"field '{key}' must be an integer, got {value!r}")
     if value < 1:
-        raise FrameFormatError(f"field '{key}' must be positive, got {value}")
+        raise FramecertError(f"field '{key}' must be positive, got {value}")
     return value
 
 
 def _parse_entry(pair: Any, where: str) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
-        raise FrameFormatError(f"field '{where}' must be a [re, im] pair")
+        raise FramecertError(f"field '{where}' must be a [re, im] pair")
     re, im = pair
     for part, val in (("re", re), ("im", im)):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise FrameFormatError(f"field '{where}' has a non-numeric {part} part")
+            raise FramecertError(f"field '{where}' has a non-numeric {part} part")
         if not math.isfinite(val):
-            raise FrameFormatError(f"field '{where}' has a non-finite {part} part")
+            raise FramecertError(f"field '{where}' has a non-finite {part} part")
     return complex(re, im)
 
 
 def frame_from_dict(doc: Any) -> ComplexFrame:
     """Parse and validate a frame document.
 
-    Raises FrameFormatError naming the offending field on any violation.
+    Raises FramecertError naming the offending field on any violation.
     """
     if not isinstance(doc, dict):
-        raise FrameFormatError("frame document root must be an object")
+        raise FramecertError("frame document root must be an object")
     n = _require_positive_int(doc, "n")
     m = _require_positive_int(doc, "m")
     field = doc.get("field")
     if field not in ("real", "complex"):
-        raise FrameFormatError(
+        raise FramecertError(
             f"field 'field' must be 'real' or 'complex', got {field!r}"
         )
     rows = doc.get("vectors")
     if not isinstance(rows, list):
-        raise FrameFormatError("field 'vectors' must be a list of rows")
+        raise FramecertError("field 'vectors' must be a list of rows")
     if len(rows) != m:
-        raise FrameFormatError(f"field 'vectors' has {len(rows)} rows, expected m={m}")
+        raise FramecertError(f"field 'vectors' has {len(rows)} rows, expected m={m}")
     entries = []
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise FrameFormatError(
+            raise FramecertError(
                 f"field 'vectors[{k}]' must be a list of n={n} pairs"
             )
         for j, pair in enumerate(row):
             entry = _parse_entry(pair, f"vectors[{k}][{j}]")
             if field == "real" and entry.imag != 0.0:
-                raise FrameFormatError(
+                raise FramecertError(
                     f"field 'vectors[{k}][{j}]' has a nonzero imaginary part "
                     "in a frame declared real"
                 )
@@ -104,11 +104,11 @@ def load_frame(path: str) -> ComplexFrame:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise FrameFormatError(f"cannot read frame file: {exc}") from exc
+        raise FramecertError(f"cannot read frame file: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FrameFormatError(f"frame file is not UTF-8 text: {exc}") from exc
+        raise FramecertError(f"frame file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise FrameFormatError(f"frame file is not valid JSON: {exc}") from exc
+        raise FramecertError(f"frame file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise FrameFormatError("frame file nests JSON too deeply to parse") from exc
+        raise FramecertError("frame file nests JSON too deeply to parse") from exc
     return frame_from_dict(doc)

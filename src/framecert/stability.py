@@ -10,13 +10,13 @@ on, sample by sample.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .core import ComplexFrame, RealifiedFrame, frame_bounds, l_matrix
-from .errors import NotRetrievableInput, ShapeMismatch
+from .errors import FramecertError, NotRetrievableInput
 from .certify import VERDICT_RETRIEVABLE, _certify_frames, certify_complex
 
 __all__ = [
@@ -82,17 +82,20 @@ class StabilityExperimentReport:
     disclaimer: str = EXPERIMENT_DISCLAIMER
 
     def to_csv(self) -> str:
-        """One row per trial, floats rendered with %.17g and '.' as the
-        decimal separator regardless of locale."""
+        """One row per trial, its cells in the field order of
+        PerturbationTrial: floats rendered with %.17g and '.' as the decimal
+        separator regardless of locale, None as an empty cell."""
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for t in self.trials:
-            a0_field = "" if t.a0_estimate is None else format(t.a0_estimate, ".17g")
-            buf.write(
-                f"{t.trial},{t.seed},{format(t.max_delta, '.17g')},"
-                f"{format(t.B_prime, '.17g')},{t.verdict},{a0_field}\n"
-            )
+            buf.write(",".join(_csv_cell(value) for value in astuple(t)) + "\n")
         return buf.getvalue()
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def perturb_frame(fr: ComplexFrame, radius: float, seed: int = 42) -> ComplexFra
 def max_displacement(fr: ComplexFrame, fr2: ComplexFrame) -> float:
     """max over k of ||f_k - f'_k||."""
     if fr.n != fr2.n or fr.m != fr2.m:
-        raise ShapeMismatch(
+        raise FramecertError(
             f"frames differ in shape: ({fr.m}, {fr.n}) vs ({fr2.m}, {fr2.n})"
         )
     return float(np.max(np.linalg.norm(fr.vectors - fr2.vectors, axis=1)))

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from framecert import (
     VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
     BodmannHammenParams,
+    CertificationReport,
+    ComplementResult,
     ComplexFrame,
     FramecertError,
     RealifiedFrame,
@@ -379,6 +382,7 @@ def test_certify_cardinality_precheck():
     assert rep.verdict == VERDICT_NOT_RETRIEVABLE
     assert rep.method == "cardinality"
     assert rep.a0 is None
+    assert rep.kernel_excess is None
 
 
 @pytest.mark.parametrize("starts", [0, -3])
@@ -424,7 +428,9 @@ def test_certify_retrievable_with_unit_witness():
 def test_certify_not_retrievable_requires_kernel_witness():
     rep = certify_complex(trivial_non_retrievable(2, 4), starts=16)
     assert rep.verdict == VERDICT_NOT_RETRIEVABLE
-    assert rep.kernel_excess is not None
+    # kernel_excess is derived from the witness, not stored
+    assert "kernel_excess" not in {f.name for f in fields(CertificationReport)}
+    assert rep.kernel_excess is rep.witness_xi is not None
     rf = RealifiedFrame.from_frame(trivial_non_retrievable(2, 4))
     assert rank_kernel_check(rf, rep.kernel_excess).kernel_dim >= 2
 
@@ -527,6 +533,9 @@ def test_verdict_invariant_under_equivalence_transforms():
 
 def test_complement_property_reference_family():
     assert complement_property(r3_example()).holds
+    # holds is derived from the partition, not stored
+    assert [f.name for f in fields(ComplementResult)] == ["failing_partition"]
+    assert not ComplementResult(failing_partition=(1, 0)).holds
 
 
 def assert_failing_partition(fr, partition):
@@ -618,6 +627,7 @@ def test_certify_real_wraps_the_complement_check():
     rep = certify_real(sub)
     assert rep.verdict == VERDICT_NOT_RETRIEVABLE
     assert rep.failing_partition is not None
+    assert rep.kernel_excess is None
     assert rep.failing_partition[0] == 1
 
 

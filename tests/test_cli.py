@@ -247,6 +247,9 @@ def test_experiment_path(tmp_path, capsys):
     assert report["endpoints_exact"] == {"start": True, "end": True}
     assert report["min_lower_bound"] > 1e-8
     assert len(report["t_values"]) == 9
+    assert main(["experiment", "path", "--frame", str(a), "--frame2", str(b),
+                 "--grid", "1"]) == 64
+    assert "grid must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_experiment_path_requires_second_frame(frames, capsys):

@@ -9,13 +9,9 @@ import pytest
 
 from framecert import (
     VERDICT_RETRIEVABLE,
-    BadCardinality,
     BodmannHammenParams,
     ComplexFrame,
     FramecertError,
-    NotAFrame,
-    SelectionFailed,
-    ShapeMismatch,
     bodmann_hammen,
     certify_complex,
     connect_frames,
@@ -24,6 +20,7 @@ from framecert import (
     path_eval,
     r3_example,
     random_frame,
+    rank_by_svd,
     trivial_non_retrievable,
 )
 
@@ -106,9 +103,9 @@ def test_trivial_non_retrievable_shape_and_bounds():
     summary = frame_bounds(fr)
     assert abs(summary.A - 1.0) < 1e-12
     assert abs(summary.B - 3.0) < 1e-12
-    with pytest.raises(BadCardinality):
+    with pytest.raises(FramecertError, match=r"need m >= n >= 2, got n=1, m=4"):
         trivial_non_retrievable(1, 4)
-    with pytest.raises(BadCardinality):
+    with pytest.raises(FramecertError, match=r"need m >= n >= 2, got n=3, m=2"):
         trivial_non_retrievable(3, 2)
 
 
@@ -117,10 +114,33 @@ def test_random_frame_determinism_and_failure():
     again = random_frame(2, 6, seed=9)
     np.testing.assert_array_equal(first.vectors, again.vectors)
     assert np.any(first.vectors != random_frame(2, 6, seed=10).vectors)
-    with pytest.raises(FramecertError, match=r"no spanning family after 32 draws \(n=3, m=2\)"):
+    with pytest.raises(FramecertError, match=r"the m=2 drawn vectors do not span C\^3"):
         random_frame(3, 2, seed=9)
-    with pytest.raises(BadCardinality):
+    with pytest.raises(FramecertError, match=r"need n >= 1 and m >= 1, got n=0, m=2"):
         random_frame(0, 2)
+
+
+def _redrawing_random_frame(n, m, seed):
+    """The former random_frame: redraw a non-spanning family up to 32 times."""
+    rng = np.random.default_rng(seed)
+    for _ in range(32):
+        vectors = (rng.standard_normal((m, n))
+                   + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+        if rank_by_svd(vectors) == n:
+            return vectors
+    raise AssertionError(f"no spanning draw for n={n}, m={m}, seed={seed}")
+
+
+def test_random_frame_single_draw_matches_the_redrawing_reference():
+    # a Gaussian family with m >= n spans with probability one, so the
+    # first draw is the frame the redrawing loop returned
+    for n in range(1, 9):
+        for m in range(n, 4 * n + 1):
+            for seed in range(50):
+                np.testing.assert_array_equal(
+                    random_frame(n, m, seed=seed).vectors,
+                    _redrawing_random_frame(n, m, seed),
+                )
 
 
 def test_generic_frames_above_the_critical_count_certify():
@@ -177,15 +197,15 @@ def test_path_eval_rejects_out_of_range_parameter():
 
 
 def test_connect_frames_error_paths():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(FramecertError, match=r"frames differ in shape: \(4, 2\) vs \(6, 3\)"):
         connect_frames(random_frame(2, 4, seed=1), random_frame(3, 6, seed=1))
     with pytest.raises(FramecertError, match="path construction needs m >= 2n, got m=3, n=2"):
         connect_frames(random_frame(2, 3, seed=1), random_frame(2, 3, seed=2))
     flat = ComplexFrame.from_vectors(np.array([[1, 0], [2, 0], [3, 0], [4, 0]],
                                               dtype=complex))
-    with pytest.raises(NotAFrame):
+    with pytest.raises(FramecertError, match="start family does not span"):
         connect_frames(flat, random_frame(2, 4, seed=1))
-    with pytest.raises(NotAFrame):
+    with pytest.raises(FramecertError, match="end family does not span"):
         connect_frames(random_frame(2, 4, seed=1), flat)
 
 
@@ -195,5 +215,6 @@ def test_connect_frames_can_fail_even_on_frames():
     vecs = np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=complex)
     fr = ComplexFrame.from_vectors(vecs)
     assert fr.is_frame
-    with pytest.raises(SelectionFailed):
+    with pytest.raises(FramecertError,
+                       match="no n-subset has independent start vectors and a spanning end complement"):
         connect_frames(fr, fr)

@@ -10,10 +10,11 @@ from framecert import (
     VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
     BodmannHammenParams,
+    CertificationReport,
     ComplexFrame,
+    FramecertError,
     NotRetrievableInput,
     RealifiedFrame,
-    ShapeMismatch,
     bodmann_hammen,
     certify_complex,
     complement_property,
@@ -97,7 +98,7 @@ def test_perturb_frame_preserves_real_field():
 
 
 def test_max_displacement_rejects_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(FramecertError, match=r"frames differ in shape: \(4, 2\) vs \(6, 3\)"):
         max_displacement(bh2(), r3_example())
 
 
@@ -209,6 +210,24 @@ def test_stability_experiment_csv_shape():
     assert "." in cells[2]
 
 
+def test_stability_experiment_counts_a_trial_that_is_not_retrievable(monkeypatch):
+    from framecert import stability as stability_module
+
+    real = stability_module._certify_frames
+
+    def second_trial_fails(frames, starts, seeds):
+        reports = real(frames, starts, seeds)
+        reports[1] = CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="not-a-frame")
+        return reports
+
+    monkeypatch.setattr(stability_module, "_certify_frames", second_trial_fails)
+    report = stability_experiment(bh2(), trials=3, starts=8, seed=6)
+    assert report.failures == 1
+    rows = report.to_csv().strip("\n").split("\n")
+    assert rows[2].endswith(",NotRetrievable,")
+    assert rows[1].split(",")[-1] == format(report.trials[0].a0_estimate, ".17g")
+
+
 def test_stability_experiment_report_dict_carries_disclaimer():
     import json
 
@@ -260,7 +279,7 @@ def test_gap_audit_bound_holds_and_reports():
 
 
 def test_gap_audit_rejects_shape_mismatch_and_bad_samples():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(FramecertError, match=r"frames differ in shape: \(4, 2\) vs \(6, 3\)"):
         l_matrix_gap_audit(bh2(), r3_example())
     moved = perturb_frame(bh2(), 0.01, seed=10)
     with pytest.raises(ValueError):
