@@ -162,12 +162,15 @@ class SearchDiagnostics:
     ``starts`` is the number of starts; ``joined`` of them stopped in the
     block descent (phase 1) on joining the basin of their frame's leading
     start, and every other one goes on to the Newton phase whenever the
-    budget leaves room for it.  ``hit_budget`` counts the starts
-    that used all max_iter iterations without meeting a stopping rule.
-    ``block_iterations`` and ``polish_iterations`` count the batched
-    iterations of each phase (a Newton step is one iteration),
-    ``best_iterations`` the iterations of the start that gave the margin,
-    and ``best_hit_budget`` says whether that start used up the budget.
+    budget leaves room for it.  The leader is re-chosen every iteration
+    among all the frame's rows, so a leader converged to rounding can join
+    a start that joined it, and ``joined`` can equal ``starts``.
+    ``hit_budget`` counts the starts that used all max_iter iterations
+    without meeting a stopping rule.  ``block_iterations`` and
+    ``polish_iterations`` count the batched iterations of each phase (a
+    Newton step is one iteration), ``best_iterations`` the iterations of
+    the start that gave the margin, and ``best_hit_budget`` says whether
+    that start used up the budget.
     ``best_basin_starts`` counts the starts, the best one included, that
     end in the best start's basin (``_basin_counts``): final lambda_2
     within BASIN_RTOL of the best one's, or within its rounding 2n eps
@@ -187,25 +190,17 @@ class SearchDiagnostics:
     best_basin_starts: int
 
 
-class MarginEstimate(tuple):
-    """The pair (a0, witness) returned by ``estimate_a0``, unpacking and
-    indexing as a tuple, with the run's ``SearchDiagnostics`` attached."""
+@dataclass(frozen=True)
+class MarginEstimate:
+    """``estimate_a0``'s margin a0, the unit direction ``witness`` achieving
+    it and the run's ``SearchDiagnostics``; it unpacks as (a0, witness)."""
 
-    def __new__(cls, a0: float, witness: np.ndarray, diagnostics: SearchDiagnostics):
-        self = super().__new__(cls, (a0, witness))
-        self.diagnostics = diagnostics
-        return self
+    a0: float
+    witness: np.ndarray
+    diagnostics: SearchDiagnostics
 
-    def __getnewargs__(self):
-        return (self[0], self[1], self.diagnostics)
-
-    @property
-    def a0(self) -> float:
-        return self[0]
-
-    @property
-    def witness(self) -> np.ndarray:
-        return self[1]
+    def __iter__(self):
+        return iter((self.a0, self.witness))
 
 
 @dataclass(frozen=True)
@@ -271,24 +266,20 @@ class ComplementResult:
 @dataclass(frozen=True)
 class _Stack:
     """The rows of a margin search over several frames of one shape: the
-    frames, their vectors stacked (phi and Jphi of shape (frames, m, 2n)),
-    and the frame of each row, in ascending order."""
+    frames' vectors stacked (phi and Jphi of shape (frames, m, 2n)), their
+    common J, and the frame of each row, in ascending order."""
 
-    rfs: tuple[RealifiedFrame, ...]
     phi: np.ndarray
     Jphi: np.ndarray
+    J: np.ndarray
     frame: np.ndarray
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.rfs[0].J
 
 
 def _take(rows: RealifiedFrame | _Stack, keep) -> RealifiedFrame | _Stack:
     """The rows ``keep`` of a one-frame search or of a ``_Stack``."""
     if isinstance(rows, RealifiedFrame):
         return rows
-    return _Stack(rows.rfs, rows.phi, rows.Jphi, rows.frame[keep])
+    return _Stack(rows.phi, rows.Jphi, rows.J, rows.frame[keep])
 
 
 def _row_vectors(rows: RealifiedFrame | _Stack) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +300,10 @@ def _gradient_rows(rows: RealifiedFrame | _Stack, X: np.ndarray) -> np.ndarray:
         return gradient_rows(rows, X)
     a = np.empty(X.shape[:1] + rows.phi.shape[1:2])
     b = np.empty_like(a)
-    ends = np.searchsorted(rows.frame, np.arange(len(rows.rfs) + 1)).tolist()
-    for rf, lo, hi in zip(rows.rfs, ends, ends[1:]):
+    ends = np.searchsorted(rows.frame, np.arange(len(rows.phi) + 1)).tolist()
+    for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
         if hi > lo:
-            a[lo:hi], b[lo:hi] = X[lo:hi] @ rf.phi.T, X[lo:hi] @ rf.Jphi.T
+            a[lo:hi], b[lo:hi] = X[lo:hi] @ rows.phi[j].T, X[lo:hi] @ rows.Jphi[j].T
     phi, Jphi = _row_vectors(rows)
     return a[:, :, None] * phi + b[:, :, None] * Jphi
 
@@ -619,7 +610,7 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     rows j*starts .. (j+1)*starts - 1 being the starts of frame j."""
     frames = len(rfs)
     rows = rfs[0] if frames == 1 else _Stack(
-        tuple(rfs), np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]),
+        np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]), rfs[0].J,
         np.repeat(np.arange(frames), starts))
     # one start direction per distinct seed: neighbouring trials share most
     keys, which = np.unique([s + i for s in seeds for i in range(starts)], return_inverse=True)
@@ -716,9 +707,9 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     R(xi) over the final directions.  It is an upper bound on the true
     margin (a minimizer may have been missed), so a tiny value suggests,
     but never proves, that the frame is not retrievable; see
-    ``certify_complex`` for the verification step.  The result unpacks as
-    the pair (a0, witness) and carries the convergence counts as
-    ``diagnostics``.  Every stopping rule is relative to trace R(xi), so
+    ``certify_complex`` for the verification step.  The result, a
+    ``MarginEstimate``, unpacks as the pair (a0, witness) and carries the
+    convergence counts as ``diagnostics``.  Every stopping rule is relative to trace R(xi), so
     the frame scaled by a power of two c gives exactly c^4 a0, the same
     witness and equal diagnostics.
     """
@@ -808,15 +799,11 @@ def magnitude_separation_check(fr: ComplexFrame, a0: float, x: np.ndarray,
     return bool(_separation_holds(left[0], factor[0], a0))
 
 
-def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-
-
 def _random_pairs(rng: np.random.Generator, pairs: int,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pairs`` pairs of standard complex Gaussian vectors in C^n, drawn
-    from the same stream as ``pairs`` alternating ``_random_complex`` calls
-    for x and y (real parts before imaginary parts)."""
+    """``pairs`` pairs of standard complex Gaussian vectors in C^n, entries
+    (g + i g') / sqrt(2), drawn pair by pair from one stream: for each pair
+    the n real then the n imaginary parts of x, then those of y."""
     G = rng.standard_normal((pairs, 2, 2, n))
     Z = (G[:, :, 0] + 1j * G[:, :, 1]) / np.sqrt(2.0)
     return Z[:, 0], Z[:, 1]

@@ -103,29 +103,28 @@ def rank_by_svd(mat: np.ndarray) -> int:
 @dataclass(frozen=True)
 class ComplexFrame:
     """An ordered family of m vectors in C^n, stored as the rows of a
-    read-only (m, n) complex array.
+    read-only (m, n) complex array, whose shape gives ``m`` and ``n``.
 
     ``field`` records whether the family is declared real (all imaginary
     parts exactly zero) or genuinely complex; the real label is validated at
-    construction.  The family is not required to span C^n; ``is_frame``
-    reports whether it does, using the package-wide rank threshold.
+    construction, and without one the label follows the dtype: complex for
+    a complex array, whatever its values, and real otherwise.  The family
+    is not required to span C^n; ``is_frame`` reports whether it does,
+    using the package-wide rank threshold.
     """
 
-    n: int
-    m: int
     vectors: np.ndarray
-    field: str = "complex"
+    field: str | None = None
 
     def __post_init__(self) -> None:
+        if self.field is None:
+            object.__setattr__(self, "field",
+                               "complex" if np.iscomplexobj(self.vectors) else "real")
         vecs = np.asarray(self.vectors, dtype=np.complex128)
         if vecs.ndim != 2:
             raise ValueError(f"vectors must be 2-dimensional, got shape {vecs.shape}")
-        if vecs.shape != (self.m, self.n):
-            raise ValueError(
-                f"vectors shape {vecs.shape} does not match (m, n) = ({self.m}, {self.n})"
-            )
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
+        if vecs.size == 0:
+            raise ValueError(f"need m >= 1 and n >= 1, got m={vecs.shape[0]}, n={vecs.shape[1]}")
         if not np.all(np.isfinite(vecs)):
             raise ValueError("vectors must have finite entries")
         if self.field not in ("real", "complex"):
@@ -138,16 +137,16 @@ class ComplexFrame:
 
     @classmethod
     def from_vectors(cls, vectors, field: str | None = None) -> "ComplexFrame":
-        """Build a frame from any (m, n) array-like.  Without an explicit
-        ``field`` the label follows the dtype: complex for a complex array,
-        whatever its values, and real otherwise."""
-        if field is None:
-            field = "complex" if np.iscomplexobj(vectors) else "real"
-        vecs = np.asarray(vectors, dtype=np.complex128)
-        if vecs.ndim != 2:
-            raise ValueError(f"vectors must be 2-dimensional, got shape {vecs.shape}")
-        m, n = vecs.shape
-        return cls(n=n, m=m, vectors=vecs, field=field)
+        """The constructor under the name most callers use."""
+        return cls(vectors, field)
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
 
     @cached_property
     def is_frame(self) -> bool:

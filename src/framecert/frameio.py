@@ -55,7 +55,8 @@ def _parse_entry(pair: Any, where: str) -> complex:
 def frame_from_dict(doc: Any) -> ComplexFrame:
     """Parse and validate a frame document.
 
-    Raises FramecertError naming the offending field on any violation.
+    Raises FramecertError naming the offending field on any violation,
+    including an ``n`` or ``m`` that does not match the rows.
     """
     if not isinstance(doc, dict):
         raise FramecertError("frame document root must be an object")
@@ -88,7 +89,7 @@ def frame_from_dict(doc: Any) -> ComplexFrame:
     # every row is checked before the array is allocated, so a huge n with
     # short rows is a format error rather than an allocation
     vectors = np.array(entries, dtype=np.complex128).reshape(m, n)
-    return ComplexFrame(n=n, m=m, vectors=vectors, field=field)
+    return ComplexFrame(vectors, field)
 
 
 def dump_frame(fr: ComplexFrame, path: str) -> None:

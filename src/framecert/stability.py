@@ -104,10 +104,10 @@ class GapAuditResult:
 
         |<(L - L')(xi) eta, eta>| <= 2 (B + B')^(3/2) max_delta
 
-    over unit xi, eta: ``max_gap`` is the largest left side seen and
-    ``bound`` the right side.  ``min_lambda_min_perturbed`` is the smallest
-    eigenvalue of the perturbed quadratic form seen at the sampled
-    directions."""
+    over sampled unit xi, eta (the call's sample count and seed are not
+    kept): ``max_gap`` is the largest left side seen and ``bound`` the right
+    side.  ``min_lambda_min_perturbed`` is the smallest eigenvalue of the
+    perturbed quadratic form seen at the sampled directions."""
 
     max_gap: float
     bound: float
@@ -115,8 +115,6 @@ class GapAuditResult:
     b_prime: float
     max_delta: float
     min_lambda_min_perturbed: float
-    samples: int
-    seed: int
 
 
 def stability_radius(fr: ComplexFrame, a0: float) -> StabilityRadius:
@@ -243,8 +241,8 @@ def l_matrix_gap_audit(fr: ComplexFrame, fr2: ComplexFrame, samples: int = 200,
                        seed: int = 42) -> GapAuditResult:
     """Audit the quadratic-form perturbation bound on random unit pairs.
 
-    Draws ``samples`` unit pairs xi, eta in R^(2n) in one batch and checks
-    at each pair
+    Draws ``samples`` unit pairs xi, eta in R^(2n) in one batch from a
+    generator seeded with ``seed`` and checks at each pair
 
         |eta^T (L(xi) - L'(xi)) eta| <= 2 (B + B')^(3/2) max_delta.
 
@@ -274,5 +272,4 @@ def l_matrix_gap_audit(fr: ComplexFrame, fr2: ComplexFrame, samples: int = 200,
     return GapAuditResult(
         max_gap=max_gap, bound=float(bound), b=b, b_prime=b2,
         max_delta=delta, min_lambda_min_perturbed=min_lam,
-        samples=samples, seed=seed,
     )

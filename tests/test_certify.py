@@ -96,16 +96,16 @@ def test_estimate_a0_is_no_higher_than_the_block_descent_oracle(name):
     n, seed = ORACLE_FRAMES[name]
     fr = bh(n) if seed is None else random_frame(n, 4 * n - 2, seed=seed)
     rf = RealifiedFrame.from_frame(fr)
-    assert estimate_a0(rf, starts=8)[0] <= block_descent_oracle(rf, 8) * (1.0 + 1e-9)
+    assert estimate_a0(rf, starts=8).a0 <= block_descent_oracle(rf, 8) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(k for k, (_, s) in ORACLE_FRAMES.items() if s is not None))
 def test_shorter_block_descent_finds_no_higher_margin(monkeypatch, name):
     n, seed = ORACLE_FRAMES[name]
     rf = RealifiedFrame.from_frame(random_frame(n, 4 * n - 2, seed=seed))
-    short = estimate_a0(rf, starts=8)[0]
+    short = estimate_a0(rf, starts=8).a0
     monkeypatch.setattr(certify_module, "BLOCK_ITERS", 100)
-    assert short <= estimate_a0(rf, starts=8)[0] * (1.0 + 1e-9)
+    assert short <= estimate_a0(rf, starts=8).a0 * (1.0 + 1e-9)
 
 
 def test_bh2_search_does_not_depend_on_the_block_cap(monkeypatch):
@@ -114,8 +114,8 @@ def test_bh2_search_does_not_depend_on_the_block_cap(monkeypatch):
     short = estimate_a0(rf)
     monkeypatch.setattr(certify_module, "BLOCK_ITERS", 100)
     long = estimate_a0(rf)
-    assert short[0] == long[0] and short.diagnostics == long.diagnostics
-    assert np.array_equal(short[1], long[1])
+    assert short.a0 == long.a0 and short.diagnostics == long.diagnostics
+    assert np.array_equal(short.witness, long.witness)
 
 
 def test_max_iter_is_the_budget_over_both_phases():
@@ -149,16 +149,20 @@ def test_search_diagnostics_count_every_start():
         estimate = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
         d = estimate.diagnostics
         assert d.starts == 16
-        # the leader never joins; a start that used the whole budget did not join
+        # on these frames some start does not join (on a one-vector frame every
+        # start can); a start that used the whole budget did not join
         assert 0 <= d.joined < 16
         assert 0 <= d.hit_budget <= d.starts - d.joined
         assert d.block_iterations <= certify_module.BLOCK_ITERS
         assert d.best_iterations <= d.block_iterations + d.polish_iterations
         assert 1 <= d.best_basin_starts <= d.starts
         again = estimate_a0(RealifiedFrame.from_frame(fr), starts=16)
-        assert again.diagnostics == d and again[0] == estimate[0]
+        assert again.diagnostics == d and again.a0 == estimate.a0
         copied = pickle.loads(pickle.dumps(estimate))
-        assert copied.diagnostics == d and copied[0] == estimate[0]
+        assert copied.diagnostics == d and copied.a0 == estimate.a0
+        np.testing.assert_array_equal(copied.witness, estimate.witness)
+        a0, witness = copied
+        assert a0 == estimate.a0 and witness is copied.witness
     # BH n=2 converges in the block descent, so the one start that does not
     # join takes no Newton step; BH n=5 needs the Newton phase
     d = estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=16).diagnostics
@@ -249,9 +253,18 @@ def test_estimate_a0_is_deterministic_per_seed():
     np.testing.assert_array_equal(w_first, w_again)
 
 
+def test_margin_estimate_is_a_frozen_record_not_a_tuple():
+    names = [f.name for f in fields(certify_module.MarginEstimate)]
+    assert names == ["a0", "witness", "diagnostics"]
+    estimate = estimate_a0(RealifiedFrame.from_frame(bh(2)), starts=4)
+    assert not isinstance(estimate, tuple)
+    with pytest.raises(AttributeError):
+        estimate.a0 = 0.0
+
+
 def test_estimate_a0_is_seed_stable_on_certified_frame():
     rf = RealifiedFrame.from_frame(bh(2))
-    values = [estimate_a0(rf, starts=32, seed=s)[0] for s in (1, 7, 42)]
+    values = [estimate_a0(rf, starts=32, seed=s).a0 for s in (1, 7, 42)]
     assert max(values) - min(values) < 1e-8 * max(values)
 
 
@@ -772,8 +785,8 @@ def test_newton_phase_on_the_rows_of_only_the_last_frame_of_a_stack():
     # every start of a frame may end joined, so the Newton phase can be
     # handed rows of fewer frames than the stack holds
     rfs = [RealifiedFrame.from_frame(random_frame(3, 10, seed=s)) for s in (0, 1)]
-    stack = certify_module._Stack(tuple(rfs), np.stack([rf.phi for rf in rfs]),
-                                  np.stack([rf.Jphi for rf in rfs]), np.array([1]))
+    stack = certify_module._Stack(np.stack([rf.phi for rf in rfs]),
+                                  np.stack([rf.Jphi for rf in rfs]), rfs[0].J, np.array([1]))
     X = certify_module._start_direction(5, 6)[None, :]
     stacked = certify_module._polish(stack, X, 50)
     alone = certify_module._polish(rfs[1], X, 50)

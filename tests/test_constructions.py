@@ -7,6 +7,7 @@ import cmath
 import numpy as np
 import pytest
 
+from framecert import constructions as constructions_module
 from framecert import (
     VERDICT_RETRIEVABLE,
     BodmannHammenParams,
@@ -207,6 +208,14 @@ def test_connect_frames_error_paths():
         connect_frames(flat, random_frame(2, 4, seed=1))
     with pytest.raises(FramecertError, match="end family does not span"):
         connect_frames(random_frame(2, 4, seed=1), flat)
+
+
+def test_connect_frames_gives_up_after_max_subset_scan(monkeypatch):
+    # the first candidate (0, 1) is parallel, so the scan needs a second
+    monkeypatch.setattr(constructions_module, "MAX_SUBSET_SCAN", 1)
+    start = ComplexFrame.from_vectors(np.array([[1, 0], [2, 0], [0, 1], [1, 1]], dtype=complex))
+    with pytest.raises(FramecertError, match="no admissible anchor subset within 1 candidates"):
+        connect_frames(start, random_frame(2, 4, seed=1))
 
 
 def test_connect_frames_can_fail_even_on_frames():

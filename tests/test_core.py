@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,21 @@ def test_frame_field_inference_and_validation():
         ComplexFrame.from_vectors(np.zeros((2, 2)), field="rational")
     with pytest.raises(ValueError, match=r"vectors must be 2-dimensional, got shape \(3,\)"):
         ComplexFrame.from_vectors(np.ones(3))
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=0, n=3"):
+        ComplexFrame.from_vectors(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=3, n=0"):
+        ComplexFrame(np.zeros((3, 0)))
+
+
+def test_frame_stores_only_its_vectors_and_label():
+    assert [f.name for f in fields(ComplexFrame)] == ["vectors", "field"]
+    with pytest.raises(TypeError):
+        ComplexFrame(n=2, m=2, vectors=np.eye(2))
+    # the constructor labels by dtype and reads m and n off the array
+    real = ComplexFrame(np.ones((3, 2)))
+    assert (real.field, real.m, real.n) == ("real", 3, 2)
+    assert ComplexFrame(np.ones((3, 2), dtype=complex)).field == "complex"
+    assert ComplexFrame(np.eye(2), "complex").field == "complex"
 
 
 def test_frame_vectors_are_read_only():

@@ -87,6 +87,11 @@ def test_a_name_is_resolved_once(monkeypatch):
     assert framecert.hmw_lower_bound is first
 
 
+def test_a_module_is_looked_up_on_the_package(monkeypatch):
+    monkeypatch.delitem(vars(framecert), "stability")
+    assert framecert.stability is sys.modules["framecert.stability"]
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))

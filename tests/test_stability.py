@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from framecert import certify as certify_module
+from framecert import stability as stability_module
 from framecert import (
     VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
@@ -275,7 +278,17 @@ def test_gap_audit_bound_holds_and_reports():
     assert audit.max_gap <= audit.bound + 1e-9
     assert audit.bound == 2.0 * (audit.b + audit.b_prime) ** 1.5 * audit.max_delta
     assert audit.min_lambda_min_perturbed >= min(1.0, rep.a0) / 2.0 - 1e-8
-    assert audit.samples == 100
+    # the call's own samples and seed are not echoed back
+    assert not {"samples", "seed"} & {f.name for f in fields(audit)}
+
+
+def test_gap_audit_raises_on_a_violated_bound(monkeypatch):
+    # with the displacement read as zero the bound is zero, which any
+    # actual perturbation exceeds
+    moved = perturb_frame(bh2(), 0.01, seed=10)
+    monkeypatch.setattr(stability_module, "max_displacement", lambda fr, fr2: 0.0)
+    with pytest.raises(AssertionError, match="bound violated: gap .* exceeds bound 0.0"):
+        l_matrix_gap_audit(bh2(), moved, samples=20)
 
 
 def test_gap_audit_rejects_shape_mismatch_and_bad_samples():
