@@ -308,12 +308,6 @@ def _gradient_rows(rows: RealifiedFrame | _Stack, X: np.ndarray) -> np.ndarray:
     return a[:, :, None] * phi + b[:, :, None] * Jphi
 
 
-def _r_matrices(rows: RealifiedFrame | _Stack, X: np.ndarray) -> np.ndarray:
-    """``r_matrices`` at each row of X for the frame of that row."""
-    B = _gradient_rows(rows, X)
-    return np.swapaxes(B, -1, -2) @ B
-
-
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     # the arithmetic of np.linalg.norm(X, axis=1), without its overhead
     return X / np.sqrt((X * X).sum(axis=1, keepdims=True))
@@ -329,19 +323,12 @@ def _deflated_eigh(rf: RealifiedFrame | _Stack, X: np.ndarray):
     the kernel of R), the last is the phase direction, and the pairs
     between are lambda_3 .. lambda_2n.
     """
-    R = _r_matrices(rf, X)
+    B = _gradient_rows(rf, X)
+    R = np.swapaxes(B, 1, 2) @ B
     U = _unit_rows(X @ rf.J.T)
     trace = np.trace(R, axis1=1, axis2=2)
     vals, vecs = np.linalg.eigh(R + (2.0 * trace)[:, None, None] * U[:, :, None] * U[:, None, :])
     return vals, vecs, trace
-
-
-def _block_min_eig(rf: RealifiedFrame | _Stack, X: np.ndarray):
-    """One block update of the alternating descent: for each row xi of X,
-    the eigenvector w minimizing w^T R(xi) w over unit w orthogonal to J xi,
-    with that minimum lambda_2(R(xi)) and trace R(xi)."""
-    vals, vecs, trace = _deflated_eigh(rf, X)
-    return vecs[:, :, 0], vals[:, 0], trace
 
 
 @lru_cache(maxsize=4096)
@@ -417,78 +404,71 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int):
     rows of another frame.  A step makes two eigh calls, one for the
     Hessian and one for f at the new point, plus one per halving.
 
+    Each run's state (its row of X, the eigenpairs of ``_deflated_eigh``
+    there, its value STALL_WINDOW steps back) is kept in full-size arrays
+    indexed by the ascending array of the runs still going, the way the
+    block descent indexes its rows by ``active``: an accepted step writes
+    into them and a stopped run leaves the index.  Every batched call sees
+    exactly the live rows, in ascending order, since a ``_Stack``'s frames
+    must be ascending and ``_gradient_rows`` rounds differently with the
+    rows it multiplies.
+
     Returns the final rows, the eigenvector of lambda_2 at each of them,
     the steps each run took, and whether each stopped by one of these rules
     rather than by spending the budget.
     """
     X = np.array(X, dtype=np.float64)
-    W = np.empty_like(X)
-    b = X.shape[0]
-    frame = np.zeros(b, dtype=np.intp) if isinstance(rf, RealifiedFrame) else rf.frame
-    used = np.zeros(b, dtype=np.int64)
-    stopped = np.zeros(b, dtype=bool)
-    # state of the runs still going, compacted whenever some stop
-    idx, x, rows = np.arange(b), X.copy(), rf
-    vals, vecs, T = _deflated_eigh(rows, x)
+    frame = np.zeros(len(X), dtype=np.intp) if isinstance(rf, RealifiedFrame) else rf.frame
+    used = np.zeros(len(X), dtype=np.int64)
+    stopped = np.zeros(len(X), dtype=bool)
+    # each run's state, row by row; a stopped run keeps its last state
+    vals, vecs, T = _deflated_eigh(rf, X)
     f_then = vals[:, 0].copy()
     best = np.full(frame[-1] + 1, np.inf)
     np.minimum.at(best, frame, vals[:, 0])
-    step = 0
-
-    def retire(stop):
-        nonlocal idx, x, rows, vals, vecs, T, f_then
-        stopped[idx[stop]] = True
-        X[idx[stop]], W[idx[stop]] = x[stop], vecs[stop, :, 0]
-        keep = ~stop
-        idx, x, rows = idx[keep], x[keep], _take(rows, keep)
-        vals, vecs, T, f_then = vals[keep], vecs[keep], T[keep], f_then[keep]
-        return keep
-
-    while True:
-        f = vals[:, 0]
-        g, H = _newton_model(rows, x, vals, vecs, T)
-        stop = np.sqrt((g * g).sum(1)) <= POLISH_GTOL * T
+    # the runs still going, ascending
+    live = np.arange(len(X))
+    for step in range(budget + 1):
+        f = vals[live, 0]
+        g, H = _newton_model(_take(rf, live), X[live], vals[live], vecs[live], T[live])
+        stop = np.sqrt((g * g).sum(1)) <= POLISH_GTOL * T[live]
         if step and step % STALL_WINDOW == 0:
             # steps needed to reach the best value of the frame at the recent rate
-            mine = best[frame[idx]]
+            mine = best[frame[live]]
             with np.errstate(divide="ignore", invalid="ignore"):
-                need = STALL_WINDOW * np.log(f / mine) / np.log(f_then / f)
+                need = STALL_WINDOW * np.log(f / mine) / np.log(f_then[live] / f)
             stop |= (f > mine) & ~(need <= budget - step)
-            f_then = f.copy()
+            f_then[live] = f
         if stop.any():
-            keep = retire(stop)
-            f, g, H = f[keep], g[keep], H[keep]
-        if idx.size == 0 or step == budget:
+            stopped[live[stop]] = True
+            live, g, H = live[~stop], g[~stop], H[~stop]
+        if live.size == 0 or step == budget:
             break
+        x, f, trace = X[live], vals[live, 0], T[live]
         mu, Q = np.linalg.eigh(H)
-        Qg = np.swapaxes(Q, 1, 2) @ g[:, :, None]
-        D = -(Q @ (Qg / np.maximum(np.abs(mu), NEWTON_FLOOR * T[:, None])[:, :, None]))[:, :, 0]
+        mu = np.maximum(np.abs(mu), NEWTON_FLOOR * trace[:, None])
+        D = -(Q @ ((np.swapaxes(Q, 1, 2) @ g[:, :, None]) / mu[:, :, None]))[:, :, 0]
         slope = (g * D).sum(1)
         # Armijo backtracking, re-evaluating only the runs still pending
-        t = np.ones(idx.size)
-        xn, valn, vecn, Tn = x.copy(), vals.copy(), vecs.copy(), T.copy()
-        pending = np.arange(idx.size)
-        failed = np.zeros(idx.size, dtype=bool)
+        # (positions in live); an accepted candidate becomes its run's state
+        t = np.ones(live.size)
+        pending = np.arange(live.size)
         while pending.size:
             cand = _unit_rows(x[pending] + t[pending, None] * D[pending])
-            vc, Vc, Tc = _deflated_eigh(_take(rows, pending), cand)
+            vc, Vc, Tc = _deflated_eigh(_take(rf, live[pending]), cand)
             ok = vc[:, 0] <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending]
-            hit = pending[ok]
-            xn[hit], valn[hit], vecn[hit], Tn[hit] = cand[ok], vc[ok], Vc[ok], Tc[ok]
+            hit = live[pending[ok]]
+            X[hit], vals[hit], vecs[hit], T[hit] = cand[ok], vc[ok], Vc[ok], Tc[ok]
             pending = pending[~ok]
             t[pending] *= 0.5
             # written so that a NaN slope also ends the search
-            resolved = ~(-t[pending] * slope[pending] > np.finfo(float).eps * T[pending])
-            failed[pending[resolved]] = True
+            resolved = ~(-t[pending] * slope[pending] > np.finfo(float).eps * trace[pending])
+            stopped[live[pending[resolved]]] = True
             pending = pending[~resolved]
-        used[idx] += 1
-        step += 1
-        x, vals, vecs, T = xn, valn, vecn, Tn
-        np.minimum.at(best, frame[idx], vals[:, 0])
-        if failed.any():
-            retire(failed)
-    X[idx], W[idx] = x, vecs[:, :, 0]
-    return X, W, used, stopped
+        used[live] += 1
+        np.minimum.at(best, frame[live], vals[live, 0])
+        live = live[~stopped[live]]
+    return X, vecs[:, :, 0], used, stopped
 
 
 def _check_budget(starts: int, max_iter: int) -> tuple[int, int]:
@@ -626,9 +606,11 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
     for _ in range(min(BLOCK_ITERS, max_iter)):
         if active.size == 0:
             break
-        Wa, _, _ = _block_min_eig(live, X[active])
-        Xa, v, trace = _block_min_eig(live, Wa)
-        X[active], W[active] = Xa, Wa
+        # each half step: the lambda_2 eigenvector of R at the other block
+        Wa = _deflated_eigh(live, X[active])[1][:, :, 0]
+        lam, vecs, trace = _deflated_eigh(live, Wa)
+        v = lam[:, 0]
+        X[active], W[active] = vecs[:, :, 0], Wa
         iterations[active] += 1
         going = vals[active] - v > BLOCK_RTOL * trace
         vals[active] = v
@@ -649,7 +631,8 @@ def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
         X[newton], W[newton], used[newton], stopped[newton] = _polish(
             _take(rows, newton), X[newton], budget)
         iterations += used
-    R = _r_matrices(rows, X)
+    B = _gradient_rows(rows, X)
+    R = np.swapaxes(B, 1, 2) @ B
     finals = np.linalg.eigvalsh(R)[:, 1]
     best = finals.reshape(frames, starts).argmin(axis=1) + np.arange(0, frames * starts, starts)
     basins = _basin_counts(X, W, finals, np.trace(R, axis1=1, axis2=2), best, joined_to, starts)
@@ -838,8 +821,14 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
          cannot tell from zero is never enough.
 
     The report carries the search's ``diagnostics``.  The search and the
-    zero-to-rounding test are scale equivariant, so NotRetrievable does not
-    depend on scale; TAU_PR is absolute, so rescaling can move a0 across it.
+    zero-to-rounding test run on the frame scaled by the power of two that
+    brings its largest entry into [1/2, 1), and a0 is scaled back by its
+    fourth power.  So rescaling a frame by a power of two changes neither
+    the witness, nor the diagnostics, nor the zero-to-rounding test, and a
+    NotRetrievable verdict holds at every such scale.  A frame so small
+    that a0 underflows to 0 is Inconclusive; one so large that a0
+    overflows raises FramecertError.  TAU_PR is still absolute, so
+    rescaling can move a0 across it.
     """
     return _certify_frames([fr], starts, [seed])[0]
 
@@ -861,25 +850,36 @@ def _certify_frames(frames: list[ComplexFrame], starts: int,
     """``certify_complex`` on each of ``frames`` (all of one shape), frame i
     with seed seeds[i].  The margins of the frames that need one are
     searched as one stack (``_margin_search``); a single frame goes through
-    ``estimate_a0``.  ``starts`` is checked before any precheck."""
+    ``estimate_a0``.  ``starts`` is checked before any precheck.
+
+    Each frame is searched scaled by 2^-k, k the binary exponent of its
+    largest realified entry, so that R(xi) neither overflows nor underflows
+    to 0.  The scaling is exact and the search is equivariant under it."""
     _check_budget(starts, MAX_ITER)
     reports = [_precheck(fr) for fr in frames]
     todo = [i for i, rep in enumerate(reports) if rep is None]
     rfs = [RealifiedFrame.from_frame(frames[i]) for i in todo]
+    ks = [int(np.frexp(np.abs(rf.phi).max())[1]) for rf in rfs]
+    rfs = [RealifiedFrame(*np.ldexp((rf.phi, rf.Jphi), -k), rf.J) for rf, k in zip(rfs, ks)]
     estimates = []
     if len(todo) == 1:
         estimates = [estimate_a0(rfs[0], starts=starts, seed=seeds[todo[0]])]
     elif todo:
         estimates = _margin_search(rfs, starts, [seeds[i] for i in todo], MAX_ITER)
-    for i, rf, estimate in zip(todo, rfs, estimates):
-        reports[i] = _decide(frames[i], rf, estimate, seeds[i])
+    for i, rf, k, estimate in zip(todo, rfs, ks, estimates):
+        reports[i] = _decide(frames[i], rf, k, estimate, seeds[i])
     return reports
 
 
-def _decide(fr: ComplexFrame, rf: RealifiedFrame, estimate: MarginEstimate,
+def _decide(fr: ComplexFrame, rf: RealifiedFrame, k: int, estimate: MarginEstimate,
             seed: int) -> CertificationReport:
-    """``certify_complex`` step 3 after the margin search."""
+    """``certify_complex`` step 3 after the margin search on ``rf``, the
+    frame ``fr`` scaled by 2^-k: ``fr``'s margin is 2^(4k) times ``rf``'s."""
     a0, witness = estimate
+    try:
+        a0 = math.ldexp(a0, 4 * k)
+    except OverflowError:
+        raise FramecertError(f"entries too large: a0 = {a0!r} * 2^{4 * k} overflows") from None
     spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
     if spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]:
         # the second eigenvalue is zero to rounding: a kernel beyond J xi
@@ -987,11 +987,12 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
 
     ``estimate_a0`` runs ``trials`` starts from ``seed`` and returns its
     unit witness xi; w is the unit lambda_2 eigenvector of R(xi) orthogonal
-    to J xi (``_block_min_eig``).  The candidate pair is x, y =
-    unrealify(xi +- ORACLE_RAY_TOL w).  Since w is orthogonal to J xi,
-    <x, y> is real and the rays are exactly 2 ORACLE_RAY_TOL apart, while
-    the squared measurements differ by 4 ORACLE_RAY_TOL <Phi_k xi, w>, so
-    their mismatch is 4 ORACLE_RAY_TOL sqrt(lambda_2(R(xi))).  A pair
+    to J xi, the first eigenvector of ``_deflated_eigh`` there.  The
+    candidate pair is x, y = unrealify(xi +- ORACLE_RAY_TOL w).  Since w is
+    orthogonal to J xi, <x, y> is real and the rays are exactly 2
+    ORACLE_RAY_TOL apart, while the squared measurements differ by 4
+    ORACLE_RAY_TOL <Phi_k xi, w>, so their mismatch is 4 ORACLE_RAY_TOL
+    sqrt(lambda_2(R(xi))).  A pair
     counts as a counterexample when the squared measurements agree within
     ORACLE_MATCH_TOL while the rays stay ORACLE_RAY_TOL apart.  Both
     conditions are re-verified entry by entry in plain scalar arithmetic,
@@ -1005,7 +1006,7 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
     """
     rf = RealifiedFrame.from_frame(fr)
     _, xi = estimate_a0(rf, starts=trials, seed=seed)
-    w = _block_min_eig(rf, xi[None, :])[0][0]
+    w = _deflated_eigh(rf, xi[None, :])[1][0, :, 0]
     x, y = unrealify(xi + ORACLE_RAY_TOL * w), unrealify(xi - ORACLE_RAY_TOL * w)
     # plain-arithmetic re-verification before certifying the pair
     px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())

@@ -68,6 +68,11 @@ def test_eigenvalue_2n_minus_1_picks_second_smallest():
         assert a0 == pytest.approx(eigenvalue_2n_minus_1(r_matrix(rf, witness)), rel=1e-12)
 
 
+def block_min_eig(rf, X):
+    vals, vecs, _ = certify_module._deflated_eigh(rf, X)
+    return vecs[:, :, 0], vals[:, 0]
+
+
 def block_descent_oracle(rf, starts, max_iter=2000, tol=1e-10, seed=42):
     """The margin search before the Newton phase: batched block descent
     from the same starts for up to max_iter iterations, then the smallest
@@ -78,8 +83,8 @@ def block_descent_oracle(rf, starts, max_iter=2000, tol=1e-10, seed=42):
     for _ in range(max_iter):
         if active.size == 0:
             break
-        Xa, _, _ = certify_module._block_min_eig(rf, X[active])
-        Xa, v, _ = certify_module._block_min_eig(rf, Xa)
+        Xa, _ = block_min_eig(rf, X[active])
+        Xa, v = block_min_eig(rf, Xa)
         X[active] = Xa
         decrease = vals[active] - v
         vals[active] = v
@@ -480,6 +485,27 @@ def test_a_witness_zero_to_rounding_is_not_retrievable_at_every_scale(k):
             assert rep.kernel_excess is not None
 
 
+def test_rescaling_by_extreme_powers_of_two():
+    # the search runs on the frame scaled exactly to entries in [1/2, 1):
+    # at 2^-300, R(xi) of BH frames no longer underflows to a false kernel,
+    # and at 2^300 a NotRetrievable frame is still certified, while a
+    # margin that overflows a float is refused rather than breaking eigh
+    for fr in (bh(2), bh(3)):
+        tiny = ComplexFrame.from_vectors(fr.vectors * 2.0 ** -300, field="complex")
+        rep = certify_complex(tiny, starts=8)
+        assert rep.verdict != VERDICT_NOT_RETRIEVABLE
+        assert rep.a0 == 0.0
+    for k in (-300, 300):
+        scaled = ComplexFrame.from_vectors(trivial_non_retrievable(3, 10).vectors * 2.0 ** k,
+                                           field="complex")
+        rep = certify_complex(scaled, starts=8)
+        assert rep.verdict == VERDICT_NOT_RETRIEVABLE
+        assert rep.kernel_excess is not None
+    huge = ComplexFrame.from_vectors(bh(2).vectors * 2.0 ** 300, field="complex")
+    with pytest.raises(FramecertError, match="overflows"):
+        certify_complex(huge, starts=8)
+
+
 def test_certify_real_frame_treated_over_c_is_not_retrievable():
     # conjugation preserves all magnitudes against real vectors, so a real
     # frame can never separate complex rays
@@ -792,6 +818,17 @@ def test_newton_phase_on_the_rows_of_only_the_last_frame_of_a_stack():
     alone = certify_module._polish(rfs[1], X, 50)
     for a, b in zip(stacked, alone):
         np.testing.assert_array_equal(a, b)
+    # both frames hold rows, and at budget 50 the runs stop at different
+    # steps, so each leaves the batch while others go on
+    stack = certify_module._Stack(stack.phi, stack.Jphi, stack.J, np.array([0, 0, 0, 1, 1]))
+    X = np.stack([certify_module._start_direction(s, 6) for s in range(5, 10)])
+    for budget in (3, 50):
+        stacked = certify_module._polish(stack, X, budget)
+        alone = [certify_module._polish(rfs[0], X[:3], budget),
+                 certify_module._polish(rfs[1], X[3:], budget)]
+        for a, b, c in zip(stacked, *alone):
+            np.testing.assert_array_equal(a, np.concatenate((b, c)))
+    assert len(set(stacked[2].tolist())) > 1
 
 
 def test_oracle_agrees_with_verdicts_on_reference_frames():

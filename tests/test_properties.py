@@ -219,13 +219,20 @@ def test_polish_never_raises_lambda_2(n, extra, rows, budget, seed):
     rf = RealifiedFrame.from_frame(ComplexFrame.from_vectors(complex_gaussian(rng, 2 * n + extra, n)))
     X = rng.standard_normal((rows, 2 * n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    out, _, used, _ = certify_module._polish(rf, X, budget)
+    out, W, used, stopped = certify_module._polish(rf, X, budget)
     before = np.linalg.eigvalsh(r_matrices(rf, X))
-    after = np.linalg.eigvalsh(r_matrices(rf, out))
+    R = r_matrices(rf, out)
+    after = np.linalg.eigvalsh(R)
     slack = 1e-12 * np.trace(r_matrices(rf, X), axis1=1, axis2=2)
     assert np.all(after[:, 1] <= before[:, 1] + slack)
     assert np.all(used <= budget)
+    assert np.all(stopped | (used == budget))
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-12)
+    # W is each run's lambda_2 eigenvector at its returned row
+    np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose((W * (out @ rf.J.T)).sum(axis=1), 0.0, atol=1e-12)
+    rayleigh = np.einsum("bi,bij,bj->b", W, R, W)
+    assert np.all(np.abs(rayleigh - after[:, 1]) <= 1e-12 * np.trace(R, axis1=1, axis2=2))
 
 
 @st.composite
