@@ -20,6 +20,12 @@ Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
 
+In C^2 ``certify_complex`` needs no search: there a0 is the minimum of a
+quadratic over a sphere in the Pauli coordinates of the lifted difference
+x x* - y y*, one smallest singular vector of an m x 3 matrix
+(``_lifted_margin``; Balan, Casazza and Edidin 2006, Bandeira, Cahill,
+Mixon and Nelson 2014).
+
 Verdicts, decided in this order at the witness:
 
 * its second eigenvalue is zero to rounding (at most 2n eps times the
@@ -193,11 +199,12 @@ class SearchDiagnostics:
 @dataclass(frozen=True)
 class MarginEstimate:
     """``estimate_a0``'s margin a0, the unit direction ``witness`` achieving
-    it and the run's ``SearchDiagnostics``; it unpacks as (a0, witness)."""
+    it and the run's ``SearchDiagnostics`` (None for the closed form of
+    ``_lifted_margin``); it unpacks as (a0, witness)."""
 
     a0: float
     witness: np.ndarray
-    diagnostics: SearchDiagnostics
+    diagnostics: Optional[SearchDiagnostics]
 
     def __iter__(self):
         return iter((self.a0, self.witness))
@@ -208,13 +215,15 @@ class CertificationReport:
     """Outcome of a certification run.
 
     ``method`` records which route produced the verdict: "cardinality"
-    (too few vectors), "not-a-frame", "eigen" (spectral margin), or
-    "complement" (real bipartition check).  ``a0``, ``witness_xi`` and
-    ``diagnostics`` (the margin search's convergence counts) are set only
-    by the eigen route, ``failing_partition`` only by the complement
-    route.  ``witness_xi`` is the unit realified direction achieving the
-    reported margin; ``a0`` is the search's lambda_2 there, or the
-    cross-check's worst ratio when lower.
+    (too few vectors), "not-a-frame", "eigen" (spectral margin from the
+    search), "lifted" (spectral margin in closed form, n = 2), or
+    "complement" (real bipartition check).  ``a0`` and ``witness_xi`` are
+    set only by the two spectral routes, ``diagnostics`` (the margin
+    search's convergence counts) only by the eigen route, and
+    ``failing_partition`` only by the complement route.  ``witness_xi`` is
+    the unit realified direction achieving the reported margin; ``a0`` is
+    lambda_2 there, or the cross-check's worst ratio when lower, and None
+    on a NotRetrievable report whose margin overflows.
     """
 
     verdict: str
@@ -226,12 +235,11 @@ class CertificationReport:
 
     @property
     def kernel_excess(self) -> Optional[np.ndarray]:
-        """The witness of an eigen NotRetrievable report, where the second
+        """The witness of a spectral NotRetrievable report, where the second
         eigenvalue of r_matrix is zero to rounding, so its kernel has
-        dimension >= 2; None on every other report."""
-        if self.method == "eigen" and self.verdict == VERDICT_NOT_RETRIEVABLE:
-            return self.witness_xi
-        return None
+        dimension >= 2; None on every other report (only spectral reports
+        carry a witness)."""
+        return self.witness_xi if self.verdict == VERDICT_NOT_RETRIEVABLE else None
 
 
 @dataclass(frozen=True)
@@ -561,8 +569,10 @@ def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, trace: np.nd
 
     A start that joined another in phase 1 (``joined_to``, -1 for none)
     counts exactly when the start it joined does, through chains of joins,
-    so each start is represented by the root of its chain.  A root counts
-    when its final lambda_2 is level with that of the best row's root
+    so each start is represented by the root of its chain.  The best row is
+    a root whatever it joined: a leader converged to rounding can join a
+    start that joined it, and a chain through it may close in a cycle.  A
+    root counts when its final lambda_2 is level with the best row's
     (``_level_with``) and its pair (x, w) ends at the same matrix
     (``_same_basin``).  Here x is the start's final direction and w its
     partner in the search's last step (the block half step's direction,
@@ -572,12 +582,13 @@ def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, trace: np.nd
     """
     rows = np.arange(finals.size)
     root = np.where(joined_to < 0, rows, joined_to)
+    root[best] = best
     # pointer jumping: each pass doubles the chain length resolved, and a
     # chain is shorter than its frame's starts
     for _ in range(int(starts).bit_length()):
         root = root[root]
     frame = rows // starts
-    anchor = root[best][frame]
+    anchor = best[frame]
     own = np.flatnonzero((root == rows) & _level_with(finals, finals[anchor], trace, X.shape[1]))
     member = np.zeros(finals.size, dtype=bool)
     member[own] = _same_basin(X[own], W[own], X[anchor[own]], W[anchor[own]])
@@ -705,7 +716,7 @@ def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
     An eigenvalue counts as zero when it is <= RANK_RTOL times the largest.
     ``kernel_is_span_jxi`` is True exactly when the kernel is one
     dimensional and within KERNEL_ANGLE_TOL radians of the phase line
-    span{J xi}.  An eigen NotRetrievable verdict asserts a kernel of
+    span{J xi}.  A spectral NotRetrievable verdict asserts a kernel of
     dimension >= 2 at its ``kernel_excess``.
     """
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
@@ -803,10 +814,12 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
        nonzero vector already determines |x|, so the gate does not apply.)
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
-    3. Estimate the margin with ``estimate_a0`` at its default budget
-       MAX_ITER; its Newton phase has already finished every start that
-       did not join, the leader near zero included.  One ``eigvalsh`` of
-       R at the witness then decides, in this order:
+    3. Find the margin: for n = 2 in closed form (method "lifted", see
+       ``_lifted_margin``), otherwise with ``estimate_a0`` at its default
+       budget MAX_ITER (method "eigen"), whose Newton phase has already
+       finished every start that did not join, the leader near zero
+       included.  One ``eigvalsh`` of R at the witness then decides, in
+       this order:
 
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:
@@ -820,15 +833,17 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
        * otherwise Inconclusive: a small margin that double precision
          cannot tell from zero is never enough.
 
-    The report carries the search's ``diagnostics``.  The search and the
-    zero-to-rounding test run on the frame scaled by the power of two that
-    brings its largest entry into [1/2, 1), and a0 is scaled back by its
-    fourth power.  So rescaling a frame by a power of two changes neither
-    the witness, nor the diagnostics, nor the zero-to-rounding test, and a
-    NotRetrievable verdict holds at every such scale.  A frame so small
-    that a0 underflows to 0 is Inconclusive; one so large that a0
-    overflows raises FramecertError.  TAU_PR is still absolute, so
-    rescaling can move a0 across it.
+    An eigen report carries the search's ``diagnostics``; ``starts`` and
+    ``seed`` play no part in the lifted margin, only ``seed`` in its
+    cross-check.  The margin, the zero-to-rounding test and the cross-check
+    run on the frame scaled by the power of two that brings its largest
+    entry into [1/2, 1), and a0 is scaled back by its fourth power.  So
+    rescaling a frame by a power of two changes neither the witness, nor
+    the diagnostics, nor the zero-to-rounding test, and a NotRetrievable
+    verdict holds at every such scale (with a0 None where it overflows).
+    A frame so small that a0 underflows to 0 is Inconclusive; one so large
+    that the a0 of any other verdict overflows raises FramecertError.
+    TAU_PR is still absolute, so rescaling can move a0 across it.
     """
     return _certify_frames([fr], starts, [seed])[0]
 
@@ -848,13 +863,15 @@ def _precheck(fr: ComplexFrame) -> Optional[CertificationReport]:
 def _certify_frames(frames: list[ComplexFrame], starts: int,
                     seeds: list[int]) -> list[CertificationReport]:
     """``certify_complex`` on each of ``frames`` (all of one shape), frame i
-    with seed seeds[i].  The margins of the frames that need one are
-    searched as one stack (``_margin_search``); a single frame goes through
-    ``estimate_a0``.  ``starts`` is checked before any precheck.
+    with seed seeds[i].  Frames in C^2 get their margin in closed form
+    (``_lifted_margin``).  Otherwise the margins of the frames that need one
+    are searched as one stack (``_margin_search``); a single frame goes
+    through ``estimate_a0``.  ``starts`` is checked before any precheck.
 
-    Each frame is searched scaled by 2^-k, k the binary exponent of its
-    largest realified entry, so that R(xi) neither overflows nor underflows
-    to 0.  The scaling is exact and the search is equivariant under it."""
+    Each frame's margin is found on it scaled by 2^-k, k the binary
+    exponent of its largest realified entry, so that R(xi) neither
+    overflows nor underflows to 0.  The scaling is exact and both routes
+    are equivariant under it."""
     _check_budget(starts, MAX_ITER)
     reports = [_precheck(fr) for fr in frames]
     todo = [i for i, rep in enumerate(reports) if rep is None]
@@ -862,40 +879,86 @@ def _certify_frames(frames: list[ComplexFrame], starts: int,
     ks = [int(np.frexp(np.abs(rf.phi).max())[1]) for rf in rfs]
     rfs = [RealifiedFrame(*np.ldexp((rf.phi, rf.Jphi), -k), rf.J) for rf, k in zip(rfs, ks)]
     estimates = []
-    if len(todo) == 1:
+    if frames[0].n == 2:
+        estimates = [_lifted_margin(rf) for rf in rfs]
+    elif len(todo) == 1:
         estimates = [estimate_a0(rfs[0], starts=starts, seed=seeds[todo[0]])]
     elif todo:
         estimates = _margin_search(rfs, starts, [seeds[i] for i in todo], MAX_ITER)
     for i, rf, k, estimate in zip(todo, rfs, ks, estimates):
-        reports[i] = _decide(frames[i], rf, k, estimate, seeds[i])
+        reports[i] = _decide(rf, k, estimate, seeds[i])
     return reports
 
 
-def _decide(fr: ComplexFrame, rf: RealifiedFrame, k: int, estimate: MarginEstimate,
+def _lifted_margin(rf: RealifiedFrame) -> MarginEstimate:
+    """The margin of a frame in C^2 in closed form, with no search.
+
+    a0 is the minimum of ||A(Q)||^2 over the Hermitian Q = p p* - q q* of
+    nuclear norm 1, where A(Q)_k = f_k* Q f_k.  In Pauli coordinates Q =
+    (t I + n . sigma) / 2 with |n| = 1 and |t| <= 1, and A(Q) = (a t + C n) / 2
+    with a_k = ||f_k||^2 and row k of C the Stokes vector of f_k = (alpha,
+    beta): 2 Re(conj(alpha) beta), 2 Im(conj(alpha) beta), |alpha|^2 -
+    |beta|^2.  Since |C_k| = a_k, |a^T C n| <= ||a||^2, so the best t =
+    -a^T C n / ||a||^2 always lies in [-1, 1], and n is the smallest right
+    singular vector of C with its part along a removed.  With u+- the +-1
+    eigenvectors of n . sigma, p = sqrt((1 + t) / 2) u+ and q = sqrt((1 - t)
+    / 2) u-; x = p + q and w = p - q are unit with x w* + w x* = 2 Q, so
+    the witness is realify(x).  As in the search, the margin is lambda_2 of
+    R there.
+    """
+    p0, p1, p2, p3 = rf.phi.T
+    a = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+    C = np.stack([2.0 * (p0 * p1 + p2 * p3), 2.0 * (p0 * p3 - p1 * p2),
+                  p0 * p0 + p2 * p2 - p1 * p1 - p3 * p3], axis=1)
+    aa, aC = a @ a, a @ C
+    n = np.linalg.svd(C - np.outer(a, aC / aa))[2][-1]
+    # |t| <= 1 in exact arithmetic; rounding can step past it
+    t = np.clip(-(aC @ n) / aa, -1.0, 1.0)
+    _, U = np.linalg.eigh(np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]]))
+    x = np.sqrt((1.0 - t) / 2.0) * U[:, 0] + np.sqrt((1.0 + t) / 2.0) * U[:, 1]
+    xi = np.concatenate([x.real, x.imag])
+    xi /= np.linalg.norm(xi)
+    a0 = float(max(np.linalg.eigvalsh(r_matrix(rf, xi))[1], 0.0))
+    return MarginEstimate(a0, xi, None)
+
+
+def _decide(rf: RealifiedFrame, k: int, estimate: MarginEstimate,
             seed: int) -> CertificationReport:
-    """``certify_complex`` step 3 after the margin search on ``rf``, the
-    frame ``fr`` scaled by 2^-k: ``fr``'s margin is 2^(4k) times ``rf``'s."""
-    a0, witness = estimate
-    try:
-        a0 = math.ldexp(a0, 4 * k)
-    except OverflowError:
-        raise FramecertError(f"entries too large: a0 = {a0!r} * 2^{4 * k} overflows") from None
+    """``certify_complex`` step 3 after the margin of ``rf`` is found, the
+    frame scaled by 2^-k: the frame's margin is 2^(4k) times ``rf``'s.
+
+    The zero-to-rounding test and the cross-check run on ``rf``, and only
+    the margin they leave is scaled back.  So a kernel point is
+    NotRetrievable at any scale (with ``a0`` None where its margin
+    overflows), and no cross-check pair is lost to overflow."""
+    a0_scaled, witness = estimate
     spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
-    if spectrum[1] <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]:
-        # the second eigenvalue is zero to rounding: a kernel beyond J xi
+    # the second eigenvalue is zero to rounding: a kernel beyond J xi
+    kernel = spectrum[1] <= rf.two_n * np.finfo(float).eps * spectrum[-1]
+    try:
+        a0 = math.ldexp(a0_scaled, 4 * k)
+    except OverflowError:
+        if not kernel:
+            raise FramecertError(
+                f"entries too large: a0 = {a0_scaled!r} * 2^{4 * k} overflows") from None
+        a0 = None
+    if kernel:
         verdict = VERDICT_NOT_RETRIEVABLE
     elif a0 > TAU_PR:
-        X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, fr.n)
-        left, factor = separation_sides(fr, X, Y)
+        n = rf.two_n // 2
+        X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, n)
+        left, factor = separation_sides(ComplexFrame(rf.phi[:, :n] + 1j * rf.phi[:, n:]), X, Y)
         usable = factor > 1e-12
-        a0 = min(a0, float(np.min(left[usable] / factor[usable], initial=np.inf)))
+        worst = float(np.min(left[usable] / factor[usable], initial=np.inf))
+        if worst < a0_scaled:
+            a0 = math.ldexp(worst, 4 * k)
         verdict = VERDICT_RETRIEVABLE if a0 > TAU_PR else VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_INCONCLUSIVE
 
     return CertificationReport(
-        verdict=verdict, method="eigen", a0=a0, witness_xi=witness,
-        diagnostics=estimate.diagnostics,
+        verdict=verdict, method="lifted" if estimate.diagnostics is None else "eigen", a0=a0,
+        witness_xi=witness, diagnostics=estimate.diagnostics,
     )
 
 

@@ -185,11 +185,12 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     Trial i uses seed + i for both the perturbation and the certification.
     The base frame is certified first with ``certify_complex``; its margin
     feeds the radius computation.  The perturbed frames are then drawn in
-    trial order and certified together, their margins searched as one
-    stack of starts x trials.  No stopping rule of that search looks at
-    another trial's rows, and the matrix products whose rounding depends
-    on the number of rows are taken trial by trial, so each row can still
-    be reproduced on its own:
+    trial order and certified together.  In C^2 each trial's margin comes
+    in closed form; otherwise the margins are searched as one stack of
+    starts x trials.  No stopping rule of that search looks at another
+    trial's rows, and the matrix products whose rounding depends on the
+    number of rows are taken trial by trial, so each row can still be
+    reproduced on its own:
     ``certify_complex(perturb_frame(fr, r, seed + i), starts, seed + i)``
     gives the same verdict and the same a0, bit for bit.
 

@@ -205,6 +205,25 @@ def test_joined_starts_count_in_the_basin_of_the_start_they_joined():
     assert alone.tolist() == [2]
 
 
+def test_a_cycle_of_joins_counts_in_the_basin_of_the_best_row():
+    # a leader converged to rounding can join a start that joined it, so
+    # joins can close in a cycle, with no start left unjoined
+    rng = np.random.default_rng(4)
+    x, w = rng.standard_normal((2, 4))
+    X, W, ones = np.tile(x, (3, 1)), np.tile(w, (3, 1)), np.ones(3)
+    for best in range(3):
+        counts = certify_module._basin_counts(X, W, ones, ones, np.array([best]),
+                                              np.array([1, 2, 0]), 3)
+        assert counts.tolist() == [3]
+    # a frame in C^2 whose 64 starts all join, in a cycle through the best one
+    rng = np.random.default_rng(6765)
+    m = int(rng.integers(4, 10))
+    V = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    V[:, 1] *= 10.0 ** rng.uniform(-3, 0)
+    d = estimate_a0(RealifiedFrame.from_frame(ComplexFrame.from_vectors(V)), starts=64).diagnostics
+    assert d.joined == d.best_basin_starts == 64
+
+
 def _zero_to_rounding(fr, report):
     spectrum = np.linalg.eigvalsh(r_matrix(RealifiedFrame.from_frame(fr), report.witness_xi))
     return report.a0 <= 2 * fr.n * np.finfo(float).eps * spectrum[-1]
@@ -221,14 +240,21 @@ JOIN_FRAMES = {
 }
 
 
+def searched_report(fr, starts):
+    """certify_complex's verdict on the margin of the search, also in C^2,
+    where certify_complex takes the margin in closed form."""
+    rf = RealifiedFrame.from_frame(fr)
+    return certify_module._decide(rf, 0, estimate_a0(rf, starts=starts), 42)
+
+
 @pytest.mark.parametrize("starts", [16, 64])
 @pytest.mark.parametrize("name", sorted(JOIN_FRAMES))
 def test_joining_keeps_verdict_and_margin(monkeypatch, name, starts):
     fr = JOIN_FRAMES[name]()
-    joining = certify_complex(fr, starts=starts)
+    joining = searched_report(fr, starts)
     monkeypatch.setattr(certify_module, "_join_leaders",
                         lambda *args: (np.empty(0, dtype=int),) * 2)
-    alone = certify_complex(fr, starts=starts)
+    alone = searched_report(fr, starts)
     assert alone.diagnostics.joined == 0
     assert joining.verdict == alone.verdict
     assert (joining.a0 == pytest.approx(alone.a0, rel=1e-12)
@@ -359,37 +385,62 @@ def test_magnitude_separation_with_estimated_margin():
         assert magnitude_separation_check(fr, rep.a0, x, y)
 
 
-def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
-    # an estimate ten times the true margin must be caught by the random
-    # pairs and replaced by their worst ratio, drawn pair by pair as
-    # x = (g_re + i g_im) / sqrt(2), then y the same way
-    fr = bh(2)
-    true_a0 = certify_complex(fr, starts=16).a0
-    real_estimate = certify_module.estimate_a0
-
-    def optimistic(*args, **kwargs):
-        estimate = real_estimate(*args, **kwargs)
-        return certify_module.MarginEstimate(10.0 * estimate.a0, estimate.witness,
-                                             estimate.diagnostics)
-
-    monkeypatch.setattr(certify_module, "estimate_a0", optimistic)
-    seed = 5
-    rep = certify_complex(fr, starts=16, seed=seed)
-
+def _worst_pair_ratio(fr, seed):
+    # the cross-check's pairs, drawn pair by pair as x = (g_re + i g_im) /
+    # sqrt(2), then y the same way
     rng = np.random.default_rng(seed)
-    V = fr.vectors
+    V, n = fr.vectors, fr.n
     ratios = []
     for _ in range(certify_module.CROSS_CHECK_PAIRS):
-        x = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2.0)
-        y = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2.0)
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         left = np.sum((np.abs(V.conj() @ x) ** 2 - np.abs(V.conj() @ y) ** 2) ** 2)
         inner = np.sum(x * y.conj())
         factor = (np.linalg.norm(x - y) ** 2 * np.linalg.norm(x + y) ** 2
                   - 4.0 * inner.imag ** 2)
         if factor > 1e-12:
             ratios.append(left / factor)
-    worst = min(ratios)
+    return min(ratios)
+
+
+def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
+    # an estimate ten times the true margin must be caught by the random
+    # pairs and replaced by their worst ratio; in C^2 the margin comes from
+    # the closed form, which the optimistic one replaces
+    fr = bh(2)
+    true_a0 = certify_complex(fr, starts=16).a0
+    real_margin = certify_module._lifted_margin
+
+    def optimistic(rf):
+        estimate = real_margin(rf)
+        return certify_module.MarginEstimate(10.0 * estimate.a0, estimate.witness, None)
+
+    monkeypatch.setattr(certify_module, "_lifted_margin", optimistic)
+    seed = 5
+    rep = certify_complex(fr, starts=16, seed=seed)
+    worst = _worst_pair_ratio(fr, seed)
     assert true_a0 <= worst < 10.0 * true_a0
+    assert rep.a0 == pytest.approx(worst, rel=1e-12)
+    assert rep.verdict == (VERDICT_RETRIEVABLE if worst > TAU_PR else VERDICT_INCONCLUSIVE)
+
+
+def test_cross_check_downgrades_an_optimistic_searched_margin(monkeypatch):
+    # the same for a margin the search finds, in C^3, where no seed from 0
+    # to 299 gives a worst ratio below 19 times the true margin
+    fr = bh(3)
+    true_a0 = certify_complex(fr, starts=16).a0
+    real_estimate = certify_module.estimate_a0
+
+    def optimistic(*args, **kwargs):
+        estimate = real_estimate(*args, **kwargs)
+        return certify_module.MarginEstimate(100.0 * estimate.a0, estimate.witness,
+                                             estimate.diagnostics)
+
+    monkeypatch.setattr(certify_module, "estimate_a0", optimistic)
+    seed = 5
+    rep = certify_complex(fr, starts=16, seed=seed)
+    worst = _worst_pair_ratio(fr, seed)
+    assert true_a0 <= worst < 100.0 * true_a0
     assert rep.a0 == pytest.approx(worst, rel=1e-12)
     assert rep.verdict == (VERDICT_RETRIEVABLE if worst > TAU_PR else VERDICT_INCONCLUSIVE)
 
@@ -432,15 +483,37 @@ def test_certify_non_frame_precheck():
 
 
 def test_certify_retrievable_with_unit_witness():
-    rep = certify_complex(bh(2), starts=16)
+    rep = certify_complex(bh(3), starts=16)
     assert rep.verdict == VERDICT_RETRIEVABLE
     assert rep.method == "eigen"
     assert rep.a0 > TAU_PR
     assert abs(np.linalg.norm(rep.witness_xi) - 1.0) < 1e-12
     # a numpy integer budget reaches the diagnostics as a Python int
-    rep = certify_complex(bh(2), starts=np.int64(8))
+    rep = certify_complex(bh(3), starts=np.int64(8))
     doc = json.loads(json.dumps(rep, default=_json_default))
     assert doc["diagnostics"]["starts"] == 8
+    # in C^2 the margin comes in closed form, with no search to diagnose
+    rep = certify_complex(bh(2), starts=16)
+    assert (rep.verdict, rep.method, rep.diagnostics) == (VERDICT_RETRIEVABLE, "lifted", None)
+    assert rep.a0 > TAU_PR
+    assert abs(np.linalg.norm(rep.witness_xi) - 1.0) < 1e-12
+
+
+def test_lifted_margin_of_a_nearly_rank_one_frame():
+    # with the second column scaled by 10^-8.5 the frame still passes the
+    # rank precheck, and 1 - |t| is about 1e-17, below the rounding of t:
+    # on these three frames the computed |t| comes out at 1 + eps
+    for seed in (22, 25, 32):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 10))
+        V = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        V[:, 1] *= 10.0 ** -8.5
+        fr = ComplexFrame.from_vectors(V)
+        rep = certify_complex(fr, starts=64)
+        assert (rep.verdict, rep.method) == (VERDICT_NOT_RETRIEVABLE, "lifted")
+        assert np.all(np.isfinite(rep.witness_xi))
+        assert _zero_to_rounding(fr, rep)
+        assert searched_report(fr, 64).verdict == VERDICT_NOT_RETRIEVABLE
 
 
 def test_certify_not_retrievable_requires_kernel_witness():
@@ -504,6 +577,31 @@ def test_rescaling_by_extreme_powers_of_two():
     huge = ComplexFrame.from_vectors(bh(2).vectors * 2.0 ** 300, field="complex")
     with pytest.raises(FramecertError, match="overflows"):
         certify_complex(huge, starts=8)
+
+
+def test_cross_check_keeps_every_pair_near_the_top_of_the_range():
+    # the cross-check runs on the scaled frame, so no separation side
+    # overflows (the suite turns RuntimeWarning into an error) and a0
+    # scales as the fourth power of the factor
+    for n in (2, 3):
+        fr = bh(n)
+        huge = ComplexFrame.from_vectors(fr.vectors * 1e77, field="complex")
+        rep = certify_complex(huge, starts=2)
+        assert rep.verdict == VERDICT_RETRIEVABLE
+        assert rep.a0 == pytest.approx(certify_complex(fr, starts=2).a0 * 1e308, rel=1e-12)
+
+
+def test_kernel_point_is_not_retrievable_where_its_margin_overflows():
+    # at 2 starts the scaled margin is rounding noise (3.35e-17) rather
+    # than 0, and scaled back by 2^1204 it overflows: the verdict stands,
+    # without a0; at 8 starts the scaled margin is 0
+    base = random_frame(3, 7, seed=0)
+    fr = ComplexFrame.from_vectors(base.vectors * 2.0 ** 300, field="complex")
+    rep = certify_complex(fr, starts=2)
+    assert (rep.verdict, rep.a0) == (VERDICT_NOT_RETRIEVABLE, None)
+    assert rank_kernel_check(RealifiedFrame.from_frame(base), rep.kernel_excess).kernel_dim >= 2
+    rep = certify_complex(fr, starts=8)
+    assert (rep.verdict, rep.a0) == (VERDICT_NOT_RETRIEVABLE, 0.0)
 
 
 def test_certify_real_frame_treated_over_c_is_not_retrievable():

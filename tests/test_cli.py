@@ -32,6 +32,7 @@ def frames(tmp_path):
     paths = {}
     for name, fr in (("r3", r3_example()),
                      ("bh2", bodmann_hammen(BodmannHammenParams(n=2))),
+                     ("bh3", bodmann_hammen(BodmannHammenParams(n=3))),
                      ("triv", trivial_non_retrievable(2, 4))):
         p = tmp_path / f"{name}.json"
         dump_frame(fr, str(p))
@@ -67,14 +68,19 @@ def test_certify_real_frame_routes_to_complement(frames, capsys):
 
 
 def test_certify_complex_frame_routes_to_eigen(frames, capsys):
-    code, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    code, doc = run_json(capsys, ["certify", "--frame", frames["bh3"], "--starts", "16"])
     assert code == 0
     assert doc["report"]["method"] == "eigen"
+    assert doc["report"]["a0"] > 1e-6
+    # a frame in C^2 gets its margin in closed form
+    code, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    assert code == 0
+    assert (doc["report"]["method"], doc["report"]["diagnostics"]) == ("lifted", None)
     assert doc["report"]["a0"] > 1e-6
 
 
 def test_certify_json_carries_the_search_diagnostics(frames, capsys, tmp_path):
-    _, doc = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    _, doc = run_json(capsys, ["certify", "--frame", frames["bh3"], "--starts", "16"])
     assert_certification_keys(doc["report"])
     assert doc["report"]["failing_partition"] is None
     diag = doc["report"]["diagnostics"]
@@ -84,7 +90,7 @@ def test_certify_json_carries_the_search_diagnostics(frames, capsys, tmp_path):
     assert diag["starts"] == 16
     assert 0 < diag["joined"] < 16
     assert diag["hit_budget"] <= diag["starts"] - diag["joined"]
-    _, again = run_json(capsys, ["certify", "--frame", frames["bh2"], "--starts", "16"])
+    _, again = run_json(capsys, ["certify", "--frame", frames["bh3"], "--starts", "16"])
     assert again == doc
     _, real = run_json(capsys, ["certify", "--frame", frames["r3"]])
     assert_certification_keys(real["report"])
@@ -422,10 +428,10 @@ def test_output_file_gets_the_bytes_stdout_gets(frames, tmp_path, capsys, argv):
 
 
 def test_json_default_writes_reports_as_their_fields():
-    rep = certify_complex(bodmann_hammen(BodmannHammenParams(n=2)), starts=8)
+    rep = certify_complex(bodmann_hammen(BodmannHammenParams(n=3)), starts=8)
     doc = json.loads(json.dumps(rep, default=_json_default))
     assert doc["verdict"] == "Retrievable"
-    assert len(doc["witness_xi"]) == 4
+    assert len(doc["witness_xi"]) == 6
     assert doc["witness_xi"] == rep.witness_xi.tolist()
     assert doc["diagnostics"] == asdict(rep.diagnostics)
     assert doc["diagnostics"]["starts"] == 8

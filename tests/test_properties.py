@@ -1,11 +1,14 @@
 """Property tests for the batched realified kernel, the batched separation
 check, the cached start directions, the Newton phase and the scale
-equivariance of the margin search, and the hyperplane test of the
-complement property."""
+equivariance of the margin search, the closed-form margin in C^2, and the
+hyperplane test of the complement property."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +16,10 @@ from framecert import (
     ComplexFrame,
     RealifiedFrame,
     build_phi,
+    certify_complex,
     complement_property,
     estimate_a0,
+    frame_bounds,
     magnitude_separation_check,
     r_matrices,
     r_matrix,
@@ -142,6 +147,87 @@ def test_estimate_a0_scale_equivariance(fr, k, starts):
     assert scaled.a0 == c ** 4 * base.a0
     np.testing.assert_array_equal(scaled.witness, base.witness)
     assert scaled.diagnostics == base.diagnostics
+
+
+@st.composite
+def frames_in_c2(draw):
+    """Random frames in C^2 with 4 <= m <= 9 vectors, half of them with the
+    second column scaled by 10^-3..1, which brings a0 down to about 1e-13."""
+    m = draw(st.integers(min_value=4, max_value=9))
+    rng = np.random.default_rng(draw(SEEDS))
+    V = complex_gaussian(rng, m, 2)
+    if draw(st.booleans()):
+        V[:, 1] *= 10.0 ** draw(st.floats(min_value=-3.0, max_value=0.0))
+    return ComplexFrame.from_vectors(V)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames_in_c2())
+def test_lifted_margin_is_the_minimum_the_search_finds(fr):
+    rf = RealifiedFrame.from_frame(fr)
+    lifted = certify_module._lifted_margin(rf)
+    searched = estimate_a0(rf, starts=64)
+    # B^2, B the upper frame bound, bounds lambda_max(R(xi)) at every unit
+    # xi; the two values differ at most by the rounding of lambda_2 there
+    # (at most 0.6 eps B^2 on 1500 such frames)
+    rounding = 4 * np.finfo(float).eps * frame_bounds(fr).B ** 2
+    assert abs(lifted.a0 - searched.a0) <= max(1e-9 * searched.a0, rounding)
+    assert abs(np.linalg.norm(lifted.witness) - 1.0) <= 1e-15
+    R = r_matrix(rf, lifted.witness)
+    assert lifted.a0 == max(np.linalg.eigvalsh(R)[1], 0.0)
+    assert lifted.diagnostics is None
+    # the witness x and its lambda_2 partner w (J x adds nothing to
+    # x w* + w x*) give Q = (x w* + w x*) / 2 = (t I + n . sigma) / 2 with
+    # |n| = 1; t is the best one for n, -a^T C n / ||a||^2, inside [-1, 1]
+    x = lifted.witness[:2] + 1j * lifted.witness[2:]
+    w = np.linalg.eigh(R)[1][:, 1]
+    w = w[:2] + 1j * w[2:]
+    w -= (w @ (1j * x).conj()).real * 1j * x
+    w /= np.linalg.norm(w)
+    Q = (np.outer(x, w.conj()) + np.outer(w, x.conj())) / 2.0
+    t = Q.trace().real
+    n = np.array([2.0 * Q[1, 0].real, 2.0 * Q[1, 0].imag, (Q[0, 0] - Q[1, 1]).real])
+    alpha, beta = fr.vectors[:, 0], fr.vectors[:, 1]
+    a = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    C = np.stack([2.0 * (alpha.conj() * beta).real, 2.0 * (alpha.conj() * beta).imag,
+                  np.abs(alpha) ** 2 - np.abs(beta) ** 2], axis=1)
+    assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+    assert abs(t) <= 1.0
+    assert abs(t + (a @ C @ n) / (a @ a)) <= 1e-6
+    # and the margin is ||A(Q)||^2 = ||a t + C n||^2 / 4
+    assert np.sum((a * t + C @ n) ** 2) / 4.0 == pytest.approx(lifted.a0, rel=1e-6, abs=rounding)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames_in_c2(), SEEDS, st.integers(min_value=-8, max_value=8))
+def test_lifted_verdict_survives_unitaries_phases_permutation_and_scaling(fr, seed, k):
+    rng = np.random.default_rng(seed)
+    base = certify_complex(fr)
+    T = np.linalg.qr(complex_gaussian(rng, 2, 2))[0]
+    z = np.exp(2j * np.pi * rng.random(fr.m))
+    for V in (fr.vectors @ T.T * z[:, None], fr.vectors[rng.permutation(fr.m)]):
+        rep = certify_complex(ComplexFrame.from_vectors(V))
+        assert (rep.verdict, rep.method) == (base.verdict, "lifted")
+    # scaling by 2^k is exact and multiplies the margin by 2^4k; TAU_PR is
+    # absolute, so it has to move with the margin for the verdict to stay
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_module, "TAU_PR", math.ldexp(certify_module.TAU_PR, 4 * k))
+        rep = certify_complex(ComplexFrame.from_vectors(2.0 ** k * fr.vectors))
+    assert (rep.verdict, rep.a0) == (base.verdict, math.ldexp(base.a0, 4 * k))
+    assert rep.witness_xi.tobytes() == base.witness_xi.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(frames_in_c2(), min_size=2, max_size=4), SEEDS)
+def test_stacked_lifted_reports_equal_lone_reports(frames, seed):
+    m = frames[0].m
+    frames = [ComplexFrame.from_vectors(np.resize(fr.vectors, (m, 2))) for fr in frames]
+    seeds = [seed % 1000 + i for i in range(len(frames))]
+    for fr, s, stacked in zip(frames, seeds, certify_module._certify_frames(frames, 8, seeds)):
+        alone = certify_complex(fr, starts=8, seed=s)
+        assert (stacked.verdict, stacked.method, stacked.a0, stacked.diagnostics) == (
+            alone.verdict, "lifted", alone.a0, None)
+        assert stacked.witness_xi.tobytes() == alone.witness_xi.tobytes()
 
 
 def exhaustive_complement_holds(V: np.ndarray) -> bool:

@@ -120,10 +120,12 @@ def test_stability_experiment_inside_the_radius_never_fails():
 
 
 def test_stability_experiment_with_joining_matches_the_search_without_it(monkeypatch):
-    joining = stability_experiment(bh2(), trials=20, starts=64, seed=5)
+    # in C^3, where the trials' margins come from the search
+    bh3 = bodmann_hammen(BodmannHammenParams(n=3))
+    joining = stability_experiment(bh3, trials=20, starts=64, seed=5)
     monkeypatch.setattr(certify_module, "_join_leaders",
                         lambda *args: (np.empty(0, dtype=int),) * 2)
-    alone = stability_experiment(bh2(), trials=20, starts=64, seed=5)
+    alone = stability_experiment(bh3, trials=20, starts=64, seed=5)
     assert joining.failures == alone.failures == 0
     for a, b in zip(joining.trials, alone.trials):
         assert a.verdict == b.verdict
@@ -133,13 +135,16 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
 @pytest.mark.parametrize("n, starts, trials, stack_entries", [
     (2, 16, 10, certify_module.STACK_ENTRIES),
     (2, 16, 10, 2 * 16 * 16),
+    (3, 16, 10, certify_module.STACK_ENTRIES),
+    (3, 16, 10, 2 * 16 * 48),
     (4, 4, 4, certify_module.STACK_ENTRIES),
-], ids=["bh2", "bh2-chunks-of-two", "bh4-newton-phase"])
+], ids=["bh2", "bh2-chunks-of-two", "bh3", "bh3-chunks-of-two", "bh4-newton-phase"])
 def test_stability_experiment_rows_match_separate_certifications(monkeypatch, n, starts, trials,
                                                                  stack_entries):
     # the trials are certified as one stack (in chunks of two trials when
-    # the entries hold two frames of 16 starts with m 2n = 16; BH n=4 at 4
-    # starts reaches the Newton phase); each row must still be what
+    # the entries hold two frames of 16 starts with m 2n = 48; BH n=4 at 4
+    # starts reaches the Newton phase; in C^2 each trial's margin comes in
+    # closed form, whatever the chunks); each row must still be what
     # certify_complex gives on that trial's frame alone
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
     fr = bodmann_hammen(BodmannHammenParams(n=n))
@@ -160,10 +165,13 @@ def _bh_trials(n, starts, trials):
 @pytest.mark.parametrize("frames, starts, stack_entries, verdict", [
     (lambda: _bh_trials(2, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
     (lambda: _bh_trials(2, 16, 10), 16, 2 * 16 * 16, VERDICT_RETRIEVABLE),
+    (lambda: _bh_trials(3, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
+    (lambda: _bh_trials(3, 16, 10), 16, 2 * 16 * 48, VERDICT_RETRIEVABLE),
     (lambda: _bh_trials(4, 4, 4), 4, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
     (lambda: [random_frame(3, 7, seed=s) for s in range(4)], 16,
      certify_module.STACK_ENTRIES, VERDICT_NOT_RETRIEVABLE),
-], ids=["bh2", "bh2-chunks-of-two", "bh4-newton-phase", "random3-not-retrievable"])
+], ids=["bh2", "bh2-chunks-of-two", "bh3", "bh3-chunks-of-two", "bh4-newton-phase",
+        "random3-not-retrievable"])
 def test_stacked_certification_reproduces_whole_reports(monkeypatch, frames, starts,
                                                         stack_entries, verdict):
     # the experiment's trial rows carry only verdict and a0; the stacked
