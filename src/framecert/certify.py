@@ -13,9 +13,9 @@ eigh each step already makes, all within a total budget of max_iter
 iterations per start.  A block-descent start stops for good once it joins
 the basin of its frame's leading start, since from there it would only
 repeat the leader's descent (multistart clustering, Rinnooy Kan and Timmer
-1987).  Frames of one shape can be searched together as one stack of
-starts (``_margin_search``), which is how ``stability_experiment``
-certifies its trials.
+1987).  Frames of one shape are certified together as one stack
+(``_certify_frames``), which is how ``stability_experiment`` certifies its
+trials: one stacked search, or in C^2 one closed form for the stack.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
@@ -39,11 +39,11 @@ margin of, say, 1e-8 is distinguishable from zero in double precision but
 not robustly, so it stays Inconclusive rather than being forced either way.
 
 For real frames the complement property gives an exact combinatorial route
-(``complement_property``): every bipartition of the family must contain a
-spanning side.  It is decided by C(m, n-1) hyperplane tests rather than by
-enumerating the 2^(m-1) bipartitions: the property fails exactly when the
-family does not span, or when some hyperplane H spanned by n-1 of its
-vectors leaves the vectors off H non-spanning.
+(``complement_property``): every bipartition must contain a spanning side.
+It is decided by C(m, n-1) hyperplane tests, in batches, rather than by the
+2^(m-1) bipartitions: the property fails exactly when the family does not
+span, or when some hyperplane H spanned by n-1 of its vectors leaves the
+vectors off H non-spanning.
 
 All operations are pure; randomized ones take an explicit seed and are
 deterministic given it.
@@ -65,6 +65,7 @@ from .core import (
     ComplexFrame,
     RealifiedFrame,
     gradient_rows,
+    j_matrix,
     r_matrix,
     rank_by_svd,
     unrealify,
@@ -104,8 +105,8 @@ TAU_PR = 1e-6
 KERNEL_ANGLE_TOL = 1e-6
 
 # Complement-property checks are refused above this many candidate
-# hyperplanes C(m, n-1).  A candidate takes about 50 us on one core (x86,
-# numpy 2.4.6), so the largest admitted frame is decided in about a second.
+# hyperplanes C(m, n-1).  A candidate takes 10-30 us at m <= 200 (one x86
+# core, numpy 2.4.6): 200 vectors in R^3, 19,900 candidates, take 0.4-0.6 s.
 COMPLEMENT_MAX_CANDIDATES = 20_000
 
 # Phase 1 of ``estimate_a0``: batched block-descent iterations before the
@@ -199,12 +200,11 @@ class SearchDiagnostics:
 @dataclass(frozen=True)
 class MarginEstimate:
     """``estimate_a0``'s margin a0, the unit direction ``witness`` achieving
-    it and the run's ``SearchDiagnostics`` (None for the closed form of
-    ``_lifted_margin``); it unpacks as (a0, witness)."""
+    it and the run's ``SearchDiagnostics``; it unpacks as (a0, witness)."""
 
     a0: float
     witness: np.ndarray
-    diagnostics: Optional[SearchDiagnostics]
+    diagnostics: SearchDiagnostics
 
     def __iter__(self):
         return iter((self.a0, self.witness))
@@ -754,9 +754,15 @@ def separation_sides(fr: ComplexFrame, X: np.ndarray,
     shape (pairs,).  Their ratio bounds the margin from above wherever the
     factor is positive.
     """
+    return _separation_sides(fr.vectors, X, Y)
+
+
+def _separation_sides(V: np.ndarray, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """``separation_sides`` on frame vectors V, or on a stack of them
+    (frames, m, n) with pairs X, Y of shape (frames, pairs, n)."""
     X = np.asarray(X, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
-    Vh = fr.vectors.conj().T
+    Vh = V.conj().swapaxes(-1, -2)
     mx = np.abs(X @ Vh) ** 2
     my = np.abs(Y @ Vh) ** 2
     left = np.sum((mx - my) ** 2, axis=-1)
@@ -848,50 +854,72 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     return _certify_frames([fr], starts, [seed])[0]
 
 
-def _precheck(fr: ComplexFrame) -> Optional[CertificationReport]:
-    """The verdict of ``certify_complex`` steps 1 and 2, or None when the
-    margin has to decide."""
-    if fr.n >= 2 and fr.m < 2 * fr.n:
-        method = "cardinality"
-    elif not fr.is_frame:
-        method = "not-a-frame"
-    else:
-        return None
-    return CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method=method)
-
-
 def _certify_frames(frames: list[ComplexFrame], starts: int,
                     seeds: list[int]) -> list[CertificationReport]:
-    """``certify_complex`` on each of ``frames`` (all of one shape), frame i
-    with seed seeds[i].  Frames in C^2 get their margin in closed form
-    (``_lifted_margin``).  Otherwise the margins of the frames that need one
-    are searched as one stack (``_margin_search``); a single frame goes
-    through ``estimate_a0``.  ``starts`` is checked before any precheck.
+    """``certify_complex`` on each of ``frames``, frame i with seed
+    seeds[i]; the frames past the cardinality gate must share one shape.
+    ``starts`` is checked before any precheck.  Those frames go in chunks
+    of whole frames, each run as one stack: one batched SVD for the span
+    precheck, one ``_lifted_margin`` call in C^2 or else one stacked search
+    (``_margin_search``; ``estimate_a0`` for a chunk of one), and one
+    ``_decide``.  A chunk holds at most STACK_ENTRIES / (m CROSS_CHECK_PAIRS)
+    frames in C^2, the cross-check's largest products, and otherwise the
+    search's own chunk.  A single frame is a stack of one.
 
     Each frame's margin is found on it scaled by 2^-k, k the binary
     exponent of its largest realified entry, so that R(xi) neither
     overflows nor underflows to 0.  The scaling is exact and both routes
     are equivariant under it."""
     _check_budget(starts, MAX_ITER)
-    reports = [_precheck(fr) for fr in frames]
+    reports = [CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="cardinality")
+               if fr.n >= 2 and fr.m < 2 * fr.n else None for fr in frames]
     todo = [i for i, rep in enumerate(reports) if rep is None]
-    rfs = [RealifiedFrame.from_frame(frames[i]) for i in todo]
-    ks = [int(np.frexp(np.abs(rf.phi).max())[1]) for rf in rfs]
-    rfs = [RealifiedFrame(*np.ldexp((rf.phi, rf.Jphi), -k), rf.J) for rf, k in zip(rfs, ks)]
-    estimates = []
-    if frames[0].n == 2:
-        estimates = [_lifted_margin(rf) for rf in rfs]
-    elif len(todo) == 1:
-        estimates = [estimate_a0(rfs[0], starts=starts, seed=seeds[todo[0]])]
-    elif todo:
-        estimates = _margin_search(rfs, starts, [seeds[i] for i in todo], MAX_ITER)
-    for i, rf, k, estimate in zip(todo, rfs, ks, estimates):
-        reports[i] = _decide(rf, k, estimate, seeds[i])
+    if not todo:
+        return reports
+    m, n = frames[todo[0]].vectors.shape
+    per = max(1, STACK_ENTRIES // (m * (CROSS_CHECK_PAIRS if n == 2 else 2 * n * starts)))
+    for lo in range(0, len(todo), per):
+        chunk = np.array(todo[lo:lo + per])
+        V = np.array([frames[i].vectors for i in chunk])
+        spans = rank_by_svd(V) == V.shape[2]
+        for i in chunk[~spans]:
+            reports[i] = CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="not-a-frame")
+        if not spans.any():
+            continue
+        chunk, V = chunk[spans], V[spans]
+        chunk_seeds = [seeds[i] for i in chunk]
+        phi = np.concatenate((V.real, V.imag), axis=2)
+        k = np.frexp(np.abs(phi).max(axis=(1, 2)))[1]
+        phi, Jphi = np.ldexp((phi, np.concatenate((-V.imag, V.real), axis=2)), -k[:, None, None])
+        if n == 2:
+            a0, witness, spectrum = _lifted_margin(phi, Jphi)
+            diagnostics = [None] * len(chunk)
+        else:
+            rfs = [RealifiedFrame(p, q, j_matrix(n)) for p, q in zip(phi, Jphi)]
+            estimates = ([estimate_a0(rfs[0], starts=starts, seed=chunk_seeds[0])] if len(rfs) == 1
+                         else _margin_search(rfs, starts, chunk_seeds, MAX_ITER))
+            a0, witness, diagnostics = zip(*((e.a0, e.witness, e.diagnostics) for e in estimates))
+            spectrum = _spectra(phi, Jphi, np.stack(witness))
+        for i, rep in zip(chunk, _decide(phi, k, np.array(a0), witness, spectrum, chunk_seeds,
+                                         diagnostics)):
+            reports[i] = rep
     return reports
 
 
-def _lifted_margin(rf: RealifiedFrame) -> MarginEstimate:
-    """The margin of a frame in C^2 in closed form, with no search.
+def _spectra(phi: np.ndarray, Jphi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The eigenvalues of r_matrix at the direction W[i] of each frame i of
+    a stack (phi and Jphi of shape (frames, m, 2n)) in one batched
+    product, with the arithmetic of ``gradient_rows`` on each frame."""
+    X = W[:, None, :]
+    B = ((X @ phi.swapaxes(1, 2)).swapaxes(1, 2) * phi
+         + (X @ Jphi.swapaxes(1, 2)).swapaxes(1, 2) * Jphi)
+    return np.linalg.eigvalsh(B.swapaxes(1, 2) @ B)
+
+
+def _lifted_margin(phi: np.ndarray, Jphi: np.ndarray):
+    """The margins of a stack of frames in C^2 (phi and Jphi of shape
+    (frames, m, 4)) in closed form, with no search: each frame's a0, its
+    unit witness (frames, 4) and the eigenvalues of R there (frames, 4).
 
     a0 is the minimum of ||A(Q)||^2 over the Hermitian Q = p p* - q q* of
     nuclear norm 1, where A(Q)_k = f_k* Q f_k.  In Pauli coordinates Q =
@@ -906,60 +934,61 @@ def _lifted_margin(rf: RealifiedFrame) -> MarginEstimate:
     the witness is realify(x).  As in the search, the margin is lambda_2 of
     R there.
     """
-    p0, p1, p2, p3 = rf.phi.T
+    p0, p1, p2, p3 = phi.transpose(2, 0, 1)
     a = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
     C = np.stack([2.0 * (p0 * p1 + p2 * p3), 2.0 * (p0 * p3 - p1 * p2),
-                  p0 * p0 + p2 * p2 - p1 * p1 - p3 * p3], axis=1)
-    aa, aC = a @ a, a @ C
-    n = np.linalg.svd(C - np.outer(a, aC / aa))[2][-1]
+                  p0 * p0 + p2 * p2 - p1 * p1 - p3 * p3], axis=2)
+    # dot products as (1, m) @ (m, 1) matmuls, which make the BLAS calls of
+    # one frame's vector products, so a frame rounds alike in any stack
+    aa, aC = (a[:, None, :] @ a[:, :, None])[:, 0, 0], (a[:, None, :] @ C)[:, 0]
+    n = np.linalg.svd(C - a[:, :, None] * (aC / aa[:, None])[:, None, :])[2][:, -1]
     # |t| <= 1 in exact arithmetic; rounding can step past it
-    t = np.clip(-(aC @ n) / aa, -1.0, 1.0)
-    _, U = np.linalg.eigh(np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]]))
-    x = np.sqrt((1.0 - t) / 2.0) * U[:, 0] + np.sqrt((1.0 + t) / 2.0) * U[:, 1]
-    xi = np.concatenate([x.real, x.imag])
-    xi /= np.linalg.norm(xi)
-    a0 = float(max(np.linalg.eigvalsh(r_matrix(rf, xi))[1], 0.0))
-    return MarginEstimate(a0, xi, None)
+    t = np.clip(-(aC[:, None, :] @ n[:, :, None])[:, 0, 0] / aa, -1.0, 1.0)
+    n0, n1, n2 = n.T
+    U = np.linalg.eigh(np.array([[n2, n0 - 1j * n1], [n0 + 1j * n1, -n2]]).transpose(2, 0, 1))[1]
+    x = (np.sqrt(np.array([1.0 - t, 1.0 + t]).T / 2.0)[:, None, :] * U).sum(axis=2)
+    xi = np.concatenate([x.real, x.imag], axis=1)
+    xi /= np.sqrt(xi[:, None, :] @ xi[:, :, None])[:, 0]
+    spectrum = _spectra(phi, Jphi, xi)
+    return np.maximum(spectrum[:, 1], 0.0), xi, spectrum
 
 
-def _decide(rf: RealifiedFrame, k: int, estimate: MarginEstimate,
-            seed: int) -> CertificationReport:
-    """``certify_complex`` step 3 after the margin of ``rf`` is found, the
-    frame scaled by 2^-k: the frame's margin is 2^(4k) times ``rf``'s.
+def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: np.ndarray,
+            seeds: list[int], diagnostics) -> list[CertificationReport]:
+    """``certify_complex`` step 3 on a stack phi (frames, m, 2n) of frames
+    scaled by 2^-k, once frame i's margin a0[i] is found at its unit
+    witness[i], where R has the eigenvalues spectrum[i], with the search's
+    diagnostics[i] (None for a closed form).  Frame i draws its cross-check
+    pairs from ``default_rng(seeds[i])``, and all are checked in one batch.
 
-    The zero-to-rounding test and the cross-check run on ``rf``, and only
-    the margin they leave is scaled back.  So a kernel point is
-    NotRetrievable at any scale (with ``a0`` None where its margin
-    overflows), and no cross-check pair is lost to overflow."""
-    a0_scaled, witness = estimate
-    spectrum = np.linalg.eigvalsh(r_matrix(rf, witness))
+    The zero-to-rounding test and the cross-check run on the scaled
+    frames, and only the margins they leave are scaled back by 2^(4k).  So
+    a kernel point is NotRetrievable at any scale (with ``a0`` None where
+    its margin overflows), and no cross-check pair is lost to overflow."""
+    n = phi.shape[2] // 2
     # the second eigenvalue is zero to rounding: a kernel beyond J xi
-    kernel = spectrum[1] <= rf.two_n * np.finfo(float).eps * spectrum[-1]
-    try:
-        a0 = math.ldexp(a0_scaled, 4 * k)
-    except OverflowError:
-        if not kernel:
-            raise FramecertError(
-                f"entries too large: a0 = {a0_scaled!r} * 2^{4 * k} overflows") from None
-        a0 = None
-    if kernel:
-        verdict = VERDICT_NOT_RETRIEVABLE
-    elif a0 > TAU_PR:
-        n = rf.two_n // 2
-        X, Y = _random_pairs(np.random.default_rng(seed), CROSS_CHECK_PAIRS, n)
-        left, factor = separation_sides(ComplexFrame(rf.phi[:, :n] + 1j * rf.phi[:, n:]), X, Y)
-        usable = factor > 1e-12
-        worst = float(np.min(left[usable] / factor[usable], initial=np.inf))
-        if worst < a0_scaled:
-            a0 = math.ldexp(worst, 4 * k)
-        verdict = VERDICT_RETRIEVABLE if a0 > TAU_PR else VERDICT_INCONCLUSIVE
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-
-    return CertificationReport(
-        verdict=verdict, method="lifted" if estimate.diagnostics is None else "eigen", a0=a0,
-        witness_xi=witness, diagnostics=estimate.diagnostics,
-    )
+    kernel = spectrum[:, 1] <= 2 * n * np.finfo(float).eps * spectrum[:, -1]
+    with np.errstate(over="ignore"):
+        full = np.ldexp(a0, 4 * k)
+    for i in (np.isinf(full) & ~kernel).nonzero()[0][:1]:
+        raise FramecertError(f"entries too large: a0 = {float(a0[i])!r} * 2^{4 * k[i]} overflows")
+    check = (~kernel & (full > TAU_PR)).nonzero()[0]
+    worst = np.full(len(a0), np.inf)
+    if check.size:
+        X, Y = np.array([_random_pairs(np.random.default_rng(seeds[i]), CROSS_CHECK_PAIRS, n)
+                         for i in check]).swapaxes(0, 1)
+        left, factor = _separation_sides(phi[check, :, :n] + 1j * phi[check, :, n:], X, Y)
+        # the worst ratio over the pairs whose right factor exceeds 1e-12
+        worst[check] = np.divide(left, factor, out=np.full_like(left, np.inf),
+                                 where=factor > 1e-12).min(axis=1)
+    low = worst < a0
+    full[low] = np.ldexp(worst[low], 4 * k[low])
+    return [CertificationReport(
+        verdict=(VERDICT_NOT_RETRIEVABLE if kernel[i] else
+                 VERDICT_RETRIEVABLE if full[i] > TAU_PR else VERDICT_INCONCLUSIVE),
+        method="lifted" if d is None else "eigen",
+        a0=None if np.isinf(full[i]) else float(full[i]),
+        witness_xi=witness[i], diagnostics=d) for i, d in enumerate(diagnostics)]
 
 
 def certify_real(fr: ComplexFrame) -> CertificationReport:
@@ -974,19 +1003,6 @@ def certify_real(fr: ComplexFrame) -> CertificationReport:
                                failing_partition=result.failing_partition)
 
 
-def _hyperplane_normal(B: np.ndarray) -> Optional[np.ndarray]:
-    """Unit normal of the hyperplane of R^n spanned by the n-1 rows of B,
-    or None when the rows are dependent (numerical rank below n-1 by the
-    package-wide threshold)."""
-    n = B.shape[1]
-    if n == 1:
-        return np.ones(1)
-    _, sv, Vt = np.linalg.svd(B)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        return None
-    return Vt[-1]
-
-
 def complement_property(fr: ComplexFrame) -> ComplementResult:
     """Complement-property check for a real frame by hyperplane tests.
 
@@ -997,11 +1013,15 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
     it is the set of vectors in a hyperplane H spanned by n-1 independent
     frame vectors, while the vectors off H still do not span.  So the check
     scans the C(m, n-1) subsets of n-1 vectors in lexicographic order,
-    skips the dependent ones, and stops at the first hyperplane whose
+    skips the dependent ones, and returns the first hyperplane whose
     complement does not span.  A vector lies in H when its distance to H
     is at most RANK_RTOL times its length, so rescaling a vector never
-    moves it across.  Both sides of a failing partition are confirmed with
-    ``rank_by_svd`` before it is returned.
+    moves it across.  The subsets go in chunks of 1, 2, 4, ... up to
+    STACK_ENTRIES / (2 m n) subsets, so an early failure is found at once;
+    a chunk takes its normals from one batched SVD, its sides of H from
+    one product, and the ranks of both sides from one ``rank_by_svd`` of
+    the frame stacked with the other side's rows zeroed (which leaves the
+    singular values unchanged).
 
     Raises FramecertError when any entry has a nonzero imaginary part or
     when C(m, n-1) exceeds COMPLEMENT_MAX_CANDIDATES.
@@ -1017,17 +1037,23 @@ def complement_property(fr: ComplexFrame) -> ComplementResult:
         )
     if not fr.is_frame:
         return ComplementResult(failing_partition=(1,) * m)
+    if n == 1:
+        # H = {0}, and the nonzero vectors span R^1 on whichever side
+        return ComplementResult(failing_partition=None)
     V = fr.vectors.real
     lengths = np.linalg.norm(V, axis=1)
-    for subset in itertools.combinations(range(m), n - 1):
-        normal = _hyperplane_normal(V[list(subset)])
-        if normal is None:
-            continue
-        in_h = np.abs(V @ normal) <= RANK_RTOL * lengths
-        if rank_by_svd(V[~in_h]) == n or rank_by_svd(V[in_h]) == n:
-            continue
-        side_one = in_h if in_h[0] else ~in_h
-        return ComplementResult(failing_partition=tuple(int(b) for b in side_one))
+    subsets = itertools.combinations(range(m), n - 1)
+    size, most = 1, max(1, STACK_ENTRIES // (2 * m * n))
+    while (chunk := np.array(list(itertools.islice(subsets, size)), dtype=np.intp)).size:
+        _, sv, Vt = np.linalg.svd(V[chunk])
+        in_h = np.abs(Vt[:, -1] @ V.T) <= RANK_RTOL * lengths
+        ranks = rank_by_svd(np.concatenate((in_h, ~in_h))[:, :, None] * V)
+        fail = (sv[:, -1] > RANK_RTOL * sv[:, 0]) & (ranks.reshape(2, -1) < n).all(axis=0)
+        if fail.any():
+            side = in_h[fail.argmax()]
+            side_one = side if side[0] else ~side
+            return ComplementResult(failing_partition=tuple(int(b) for b in side_one))
+        size = min(2 * size, most)
     return ComplementResult(failing_partition=None)
 
 

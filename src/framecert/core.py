@@ -89,15 +89,15 @@ def unrealify(xi: np.ndarray) -> np.ndarray:
     return xi[:n] + 1j * xi[n:]
 
 
-def rank_by_svd(mat: np.ndarray) -> int:
-    """Numerical rank: number of singular values above RANK_RTOL * largest."""
+def rank_by_svd(mat: np.ndarray) -> int | np.ndarray:
+    """Numerical rank: number of singular values above RANK_RTOL * largest;
+    an array of ranks, from one batched SVD, for a stack (..., rows, cols)."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    rank = (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1)
+    return int(rank) if mat.ndim == 2 else rank
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -244,7 +245,11 @@ def searched_report(fr, starts):
     """certify_complex's verdict on the margin of the search, also in C^2,
     where certify_complex takes the margin in closed form."""
     rf = RealifiedFrame.from_frame(fr)
-    return certify_module._decide(rf, 0, estimate_a0(rf, starts=starts), 42)
+    estimate = estimate_a0(rf, starts=starts)
+    spectrum = np.linalg.eigvalsh(r_matrix(rf, estimate.witness))
+    return certify_module._decide(rf.phi[None], np.zeros(1, dtype=int), np.array([estimate.a0]),
+                                  estimate.witness[None], spectrum[None], [42],
+                                  [estimate.diagnostics])[0]
 
 
 @pytest.mark.parametrize("starts", [16, 64])
@@ -411,9 +416,9 @@ def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
     true_a0 = certify_complex(fr, starts=16).a0
     real_margin = certify_module._lifted_margin
 
-    def optimistic(rf):
-        estimate = real_margin(rf)
-        return certify_module.MarginEstimate(10.0 * estimate.a0, estimate.witness, None)
+    def optimistic(phi, Jphi):
+        a0, witness, spectrum = real_margin(phi, Jphi)
+        return 10.0 * a0, witness, spectrum
 
     monkeypatch.setattr(certify_module, "_lifted_margin", optimistic)
     seed = 5
@@ -731,6 +736,13 @@ def test_complement_property_rejects_complex_and_oversized_frames():
     assert result.failing_partition == (1,) * 20000
     with pytest.raises(FramecertError, match=r"got C\(20001, 1\) = 20001"):
         complement_property(ComplexFrame.from_vectors(line, field="real"))
+
+
+def test_complement_property_decides_a_frame_at_the_cap():
+    # C(200, 2) = 19,900 candidates, the most of any m in R^3 under the cap
+    V = np.random.default_rng(200).standard_normal((200, 3))
+    assert math.comb(200, 2) <= certify_module.COMPLEMENT_MAX_CANDIDATES < math.comb(201, 2)
+    assert complement_property(ComplexFrame.from_vectors(V, field="real")).holds
 
 
 def two_plane_frame(m, seed):

@@ -5,6 +5,7 @@ hyperplane test of the complement property."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from framecert import (
     random_frame,
     rank_by_svd,
     separation_sides,
+    trivial_non_retrievable,
 )
 from framecert import certify as certify_module
 
@@ -165,21 +167,21 @@ def frames_in_c2(draw):
 @given(frames_in_c2())
 def test_lifted_margin_is_the_minimum_the_search_finds(fr):
     rf = RealifiedFrame.from_frame(fr)
-    lifted = certify_module._lifted_margin(rf)
+    (a0,), (witness,), _ = certify_module._lifted_margin(rf.phi[None], rf.Jphi[None])
     searched = estimate_a0(rf, starts=64)
     # B^2, B the upper frame bound, bounds lambda_max(R(xi)) at every unit
     # xi; the two values differ at most by the rounding of lambda_2 there
     # (at most 0.6 eps B^2 on 1500 such frames)
     rounding = 4 * np.finfo(float).eps * frame_bounds(fr).B ** 2
-    assert abs(lifted.a0 - searched.a0) <= max(1e-9 * searched.a0, rounding)
-    assert abs(np.linalg.norm(lifted.witness) - 1.0) <= 1e-15
-    R = r_matrix(rf, lifted.witness)
-    assert lifted.a0 == max(np.linalg.eigvalsh(R)[1], 0.0)
-    assert lifted.diagnostics is None
+    assert abs(a0 - searched.a0) <= max(1e-9 * searched.a0, rounding)
+    assert abs(np.linalg.norm(witness) - 1.0) <= 1e-15
+    R = r_matrix(rf, witness)
+    assert a0 == max(np.linalg.eigvalsh(R)[1], 0.0)
+    assert certify_complex(fr).diagnostics is None
     # the witness x and its lambda_2 partner w (J x adds nothing to
     # x w* + w x*) give Q = (x w* + w x*) / 2 = (t I + n . sigma) / 2 with
     # |n| = 1; t is the best one for n, -a^T C n / ||a||^2, inside [-1, 1]
-    x = lifted.witness[:2] + 1j * lifted.witness[2:]
+    x = witness[:2] + 1j * witness[2:]
     w = np.linalg.eigh(R)[1][:, 1]
     w = w[:2] + 1j * w[2:]
     w -= (w @ (1j * x).conj()).real * 1j * x
@@ -195,7 +197,7 @@ def test_lifted_margin_is_the_minimum_the_search_finds(fr):
     assert abs(t) <= 1.0
     assert abs(t + (a @ C @ n) / (a @ a)) <= 1e-6
     # and the margin is ||A(Q)||^2 = ||a t + C n||^2 / 4
-    assert np.sum((a * t + C @ n) ** 2) / 4.0 == pytest.approx(lifted.a0, rel=1e-6, abs=rounding)
+    assert np.sum((a * t + C @ n) ** 2) / 4.0 == pytest.approx(a0, rel=1e-6, abs=rounding)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,16 +220,35 @@ def test_lifted_verdict_survives_unitaries_phases_permutation_and_scaling(fr, se
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(frames_in_c2(), min_size=2, max_size=4), SEEDS)
-def test_stacked_lifted_reports_equal_lone_reports(frames, seed):
+@given(st.lists(frames_in_c2(), min_size=2, max_size=4), SEEDS,
+       st.integers(min_value=1, max_value=3))
+def test_stacked_lifted_reports_equal_lone_reports(frames, seed, per_chunk):
+    # one stack, in chunks of per_chunk frames, with a kernel frame, a
+    # frame that does not span and one below the cardinality gate mixed in
+    # so that the batched prechecks decide some frames
     m = frames[0].m
+    rng = np.random.default_rng(seed)
     frames = [ComplexFrame.from_vectors(np.resize(fr.vectors, (m, 2))) for fr in frames]
+    frames += [trivial_non_retrievable(2, m),
+               ComplexFrame.from_vectors(np.outer(complex_gaussian(rng, m, 1), [1.0, 1j])),
+               ComplexFrame.from_vectors(complex_gaussian(rng, 3, 2))]
+    frames = [frames[i] for i in rng.permutation(len(frames))]
     seeds = [seed % 1000 + i for i in range(len(frames))]
-    for fr, s, stacked in zip(frames, seeds, certify_module._certify_frames(frames, 8, seeds)):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_module, "STACK_ENTRIES",
+                   per_chunk * certify_module.CROSS_CHECK_PAIRS * m)
+        reports = certify_module._certify_frames(frames, 8, seeds)
+    for fr, s, stacked in zip(frames, seeds, reports):
         alone = certify_complex(fr, starts=8, seed=s)
-        assert (stacked.verdict, stacked.method, stacked.a0, stacked.diagnostics) == (
-            alone.verdict, "lifted", alone.a0, None)
-        assert stacked.witness_xi.tobytes() == alone.witness_xi.tobytes()
+        assert (stacked.verdict, stacked.method, stacked.diagnostics) == (
+            alone.verdict, alone.method, None)
+        assert alone.method in ("lifted", "cardinality", "not-a-frame")
+        if alone.method == "lifted":
+            assert stacked.a0.hex() == alone.a0.hex()
+            assert stacked.witness_xi.tobytes() == alone.witness_xi.tobytes()
+        else:
+            assert stacked.a0 is stacked.witness_xi is alone.a0 is alone.witness_xi is None
+    assert [rep.method for rep in reports].count("lifted") == len(frames) - 2
 
 
 def exhaustive_complement_holds(V: np.ndarray) -> bool:
@@ -272,6 +293,60 @@ def decide(V: np.ndarray):
         assert rank_by_svd(V[side_one]) < V.shape[1]
         assert rank_by_svd(V[~side_one]) < V.shape[1]
     return result.holds
+
+
+def serial_complement_partition(V: np.ndarray):
+    """Reference hyperplane scan, one candidate at a time: the failing
+    partition complement_property returned before its candidates were
+    tested in batches, or None when the property holds."""
+    m, n = V.shape
+    if rank_by_svd(V) < n:
+        return (1,) * m
+    lengths = np.linalg.norm(V, axis=1)
+    for subset in itertools.combinations(range(m), n - 1):
+        if n == 1:
+            normal = np.ones(1)
+        else:
+            _, sv, Vt = np.linalg.svd(V[list(subset)])
+            if sv[-1] <= certify_module.RANK_RTOL * sv[0]:
+                continue
+            normal = Vt[-1]
+        in_h = np.abs(V @ normal) <= certify_module.RANK_RTOL * lengths
+        if rank_by_svd(V[~in_h]) == n or rank_by_svd(V[in_h]) == n:
+            continue
+        side_one = in_h if in_h[0] else ~in_h
+        return tuple(int(b) for b in side_one)
+    return None
+
+
+@st.composite
+def two_plane_frames(draw):
+    """3 <= m <= 20 vectors in R^3 on two random planes, each vector on
+    either plane at random, with up to two rows repeated and up to two
+    zeroed, so that the first failing hyperplane falls anywhere in the
+    scan."""
+    m = draw(st.integers(min_value=3, max_value=20))
+    rng = np.random.default_rng(draw(SEEDS))
+    planes = [np.linalg.qr(rng.standard_normal((3, 2)))[0] for _ in range(2)]
+    V = np.array([planes[int(rng.integers(2))] @ rng.standard_normal(2) for _ in range(m)])
+    copies = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=2))
+    for target, source in copies:
+        V[target] = V[source]
+    V[draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=2))] = 0.0
+    return V
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_frames(), two_plane_frames()), st.integers(min_value=1, max_value=4))
+def test_batched_hyperplane_scan_matches_the_serial_scan(V, most):
+    # the chunks grow 1, 2, 4, ... candidates up to their cap, which the
+    # second scan lowers to `most`, so more chunk boundaries fall early
+    expected = serial_complement_partition(V)
+    fr = ComplexFrame.from_vectors(V, field="real")
+    assert complement_property(fr).failing_partition == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_module, "STACK_ENTRIES", most * 2 * V.size)
+        assert complement_property(fr).failing_partition == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -134,7 +134,7 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
 
 @pytest.mark.parametrize("n, starts, trials, stack_entries", [
     (2, 16, 10, certify_module.STACK_ENTRIES),
-    (2, 16, 10, 2 * 16 * 16),
+    (2, 16, 10, 2 * certify_module.CROSS_CHECK_PAIRS * 4),
     (3, 16, 10, certify_module.STACK_ENTRIES),
     (3, 16, 10, 2 * 16 * 48),
     (4, 4, 4, certify_module.STACK_ENTRIES),
@@ -142,10 +142,10 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
 def test_stability_experiment_rows_match_separate_certifications(monkeypatch, n, starts, trials,
                                                                  stack_entries):
     # the trials are certified as one stack (in chunks of two trials when
-    # the entries hold two frames of 16 starts with m 2n = 48; BH n=4 at 4
-    # starts reaches the Newton phase; in C^2 each trial's margin comes in
-    # closed form, whatever the chunks); each row must still be what
-    # certify_complex gives on that trial's frame alone
+    # the entries hold two frames of 16 starts with m 2n = 48, or in C^2
+    # the cross-check pairs of two frames of m = 4, whose margins come in
+    # closed form; BH n=4 at 4 starts reaches the Newton phase); each row
+    # must still be what certify_complex gives on that trial's frame alone
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
     fr = bodmann_hammen(BodmannHammenParams(n=n))
     report = stability_experiment(fr, trials=trials, starts=starts, seed=5)
@@ -164,7 +164,8 @@ def _bh_trials(n, starts, trials):
 
 @pytest.mark.parametrize("frames, starts, stack_entries, verdict", [
     (lambda: _bh_trials(2, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
-    (lambda: _bh_trials(2, 16, 10), 16, 2 * 16 * 16, VERDICT_RETRIEVABLE),
+    (lambda: _bh_trials(2, 16, 10), 16, 2 * certify_module.CROSS_CHECK_PAIRS * 4,
+     VERDICT_RETRIEVABLE),
     (lambda: _bh_trials(3, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
     (lambda: _bh_trials(3, 16, 10), 16, 2 * 16 * 48, VERDICT_RETRIEVABLE),
     (lambda: _bh_trials(4, 4, 4), 4, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
