@@ -13,9 +13,10 @@ eigh each step already makes, all within a total budget of max_iter
 iterations per start.  A block-descent start stops for good once it joins
 the basin of its frame's leading start, since from there it would only
 repeat the leader's descent (multistart clustering, Rinnooy Kan and Timmer
-1987).  Frames of one shape are certified together as one stack
-(``_certify_frames``), which is how ``stability_experiment`` certifies its
-trials: one stacked search, or in C^2 one closed form for the stack.
+1987).  A stack of frames of one shape, one (frames, m, n) array, is
+certified in chunks of whole frames (``_certify_frames``), which is how
+``stability_experiment`` certifies its trials: one stacked search per
+chunk, or in C^2 one closed form per chunk.
 Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
@@ -144,9 +145,11 @@ BASIN_RTOL = 1e-2
 BASIN_OVERLAP_TOL = 1e-6
 
 # Entries of the largest (rows, m, 2n) array of one stacked margin search:
-# the trials of ``stability_experiment`` are searched together in chunks of
-# whole frames of at most STACK_ENTRIES / (m 2n) rows.  Larger batches run
-# slower per row (random n=10, m=38: 20% slower at 256 rows than at 64).
+# ``_certify_frames`` searches the trials of ``stability_experiment``
+# together in chunks of whole frames of at most STACK_ENTRIES / (m 2n)
+# rows, or in C^2 of at most STACK_ENTRIES / (m CROSS_CHECK_PAIRS) frames;
+# both chunk rules live there alone.  Larger batches run slower per row
+# (random n=10, m=38: 20% slower at 256 rows than at 64).
 STACK_ENTRIES = 2 ** 14
 
 # Random pairs used to cross-validate a Retrievable verdict.
@@ -488,22 +491,6 @@ def _check_budget(starts: int, max_iter: int) -> tuple[int, int]:
     return starts, max_iter
 
 
-def _margin_search(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
-                   max_iter: int) -> list[MarginEstimate]:
-    """``estimate_a0`` on each of the frames ``rfs`` (all of one shape),
-    frame j with seed seeds[j], as one stack of starts x frames.  The frames
-    go in chunks of whole frames, each of at most STACK_ENTRIES / (m 2n)
-    rows (but at least one frame).  Every rule that stops a row looks only at its own
-    frame's rows, and the products are taken frame by frame
-    (``_gradient_rows``), so each result is bit for bit the one
-    ``estimate_a0`` gives on that frame alone."""
-    starts, max_iter = _check_budget(starts, max_iter)
-    per = max(1, STACK_ENTRIES // (rfs[0].m * rfs[0].two_n * starts))
-    return [estimate for lo in range(0, len(rfs), per)
-            for estimate in _search_chunk(rfs[lo:lo + per], starts, seeds[lo:lo + per],
-                                          max_iter)]
-
-
 def _level_with(v: np.ndarray, top: np.ndarray, trace: np.ndarray, two_n: int) -> np.ndarray:
     """The value half of the basin test: whether each lambda_2 value v is
     at most BASIN_RTOL |top| above top, or at most its rounding, 2n eps
@@ -595,17 +582,18 @@ def _basin_counts(X: np.ndarray, W: np.ndarray, finals: np.ndarray, trace: np.nd
     return np.bincount(frame[member[root]], minlength=best.size)
 
 
-def _search_chunk(rfs: list[RealifiedFrame], starts: int, seeds: list[int],
+def _search_chunk(rows: RealifiedFrame | _Stack, starts: int, seeds: list[int],
                   max_iter: int) -> list[MarginEstimate]:
-    """The two phases of ``estimate_a0`` on one chunk of ``_margin_search``,
-    rows j*starts .. (j+1)*starts - 1 being the starts of frame j."""
-    frames = len(rfs)
-    rows = rfs[0] if frames == 1 else _Stack(
-        np.stack([rf.phi for rf in rfs]), np.stack([rf.Jphi for rf in rfs]), rfs[0].J,
-        np.repeat(np.arange(frames), starts))
+    """The two phases of ``estimate_a0`` on one frame, or on the frames of
+    one ``_Stack`` that ``_certify_frames`` has sized, frame j with seed
+    seeds[j], rows j*starts .. (j+1)*starts - 1 being its starts.  Every
+    rule that stops a row looks only at its own frame's rows, and the
+    products are taken frame by frame (``_gradient_rows``), so each result
+    is bit for bit the one ``estimate_a0`` gives on that frame alone."""
+    frames = len(seeds)
     # one start direction per distinct seed: neighbouring trials share most
     keys, which = np.unique([s + i for s in seeds for i in range(starts)], return_inverse=True)
-    X = np.stack([_start_direction(int(k), rfs[0].two_n) for k in keys])[which]
+    X = np.stack([_start_direction(int(k), rows.J.shape[0]) for k in keys])[which]
     # each row's partner w in its last step, for ``_basin_counts``
     W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
@@ -676,7 +664,10 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     draws its initial direction from a generator seeded with seed + i, so
     reruns are bit identical; the directions are kept in a bounded cache
     keyed by (seed + i, 2n), so calls whose seeds overlap, such as the
-    trials of ``stability_experiment``, draw each one once.
+    trials of ``stability_experiment``, draw each one once.  The search
+    (``_search_chunk``) runs on the one frame's own rows; ``_certify_frames``
+    gives it whole stacks of frames, and calls ``estimate_a0`` for a chunk
+    of one frame.
 
     1. Batched block descent for at most BLOCK_ITERS iterations.  The margin
        is the minimum over unit pairs (xi, w) with w orthogonal to J xi of
@@ -707,7 +698,8 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     the frame scaled by a power of two c gives exactly c^4 a0, the same
     witness and equal diagnostics.
     """
-    return _margin_search([rf], starts, [seed], max_iter)[0]
+    starts, max_iter = _check_budget(starts, max_iter)
+    return _search_chunk(rf, starts, [seed], max_iter)[0]
 
 
 def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
@@ -772,12 +764,6 @@ def _separation_sides(V: np.ndarray, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return left, factor
 
 
-def _separation_holds(left, factor, a0: float):
-    """The separation inequality at margin a0, with additive slack
-    1e-9 * (1 + |right factor|)."""
-    return left >= a0 * factor - 1e-9 * (1.0 + np.abs(factor))
-
-
 def magnitude_separation_check(fr: ComplexFrame, a0: float, x: np.ndarray,
                                y: np.ndarray) -> bool:
     """Check the magnitude separation inequality at a pair (x, y):
@@ -796,7 +782,7 @@ def magnitude_separation_check(fr: ComplexFrame, a0: float, x: np.ndarray,
     x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
     y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     left, factor = separation_sides(fr, x, y)
-    return bool(_separation_holds(left[0], factor[0], a0))
+    return bool(left[0] >= a0 * factor[0] - 1e-9 * (1.0 + abs(factor[0])))
 
 
 def _random_pairs(rng: np.random.Generator, pairs: int,
@@ -851,37 +837,38 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     that the a0 of any other verdict overflows raises FramecertError.
     TAU_PR is still absolute, so rescaling can move a0 across it.
     """
-    return _certify_frames([fr], starts, [seed])[0]
+    return _certify_frames(fr.vectors[None], starts, [seed])[0]
 
 
-def _certify_frames(frames: list[ComplexFrame], starts: int,
+def _certify_frames(vectors: np.ndarray, starts: int,
                     seeds: list[int]) -> list[CertificationReport]:
-    """``certify_complex`` on each of ``frames``, frame i with seed
-    seeds[i]; the frames past the cardinality gate must share one shape.
-    ``starts`` is checked before any precheck.  Those frames go in chunks
-    of whole frames, each run as one stack: one batched SVD for the span
+    """``certify_complex`` on each frame of the stack ``vectors`` (frames,
+    m, n), frame i with seed seeds[i].  ``starts`` is checked before any
+    precheck, and the cardinality gate is one test of the stack's shape.
+    This is the one place that sizes chunks: the frames go in chunks of
+    whole frames, each run as one stack with one batched SVD for the span
     precheck, one ``_lifted_margin`` call in C^2 or else one stacked search
-    (``_margin_search``; ``estimate_a0`` for a chunk of one), and one
+    (``_search_chunk``; ``estimate_a0`` for a chunk of one), and one
     ``_decide``.  A chunk holds at most STACK_ENTRIES / (m CROSS_CHECK_PAIRS)
-    frames in C^2, the cross-check's largest products, and otherwise the
-    search's own chunk.  A single frame is a stack of one.
+    frames in C^2, the cross-check's largest products, and otherwise at
+    most STACK_ENTRIES / (m 2n starts), but at least one frame.  A single
+    frame is a stack of one.
 
     Each frame's margin is found on it scaled by 2^-k, k the binary
     exponent of its largest realified entry, so that R(xi) neither
     overflows nor underflows to 0.  The scaling is exact and both routes
     are equivariant under it."""
-    _check_budget(starts, MAX_ITER)
-    reports = [CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="cardinality")
-               if fr.n >= 2 and fr.m < 2 * fr.n else None for fr in frames]
-    todo = [i for i, rep in enumerate(reports) if rep is None]
-    if not todo:
-        return reports
-    m, n = frames[todo[0]].vectors.shape
+    starts, _ = _check_budget(starts, MAX_ITER)
+    frames, m, n = vectors.shape
+    if n >= 2 and m < 2 * n:
+        return [CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="cardinality")
+                for _ in range(frames)]
+    reports = [None] * frames
     per = max(1, STACK_ENTRIES // (m * (CROSS_CHECK_PAIRS if n == 2 else 2 * n * starts)))
-    for lo in range(0, len(todo), per):
-        chunk = np.array(todo[lo:lo + per])
-        V = np.array([frames[i].vectors for i in chunk])
-        spans = rank_by_svd(V) == V.shape[2]
+    for lo in range(0, frames, per):
+        V = vectors[lo:lo + per]
+        chunk = np.arange(lo, lo + len(V))
+        spans = rank_by_svd(V) == n
         for i in chunk[~spans]:
             reports[i] = CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="not-a-frame")
         if not spans.any():
@@ -895,9 +882,11 @@ def _certify_frames(frames: list[ComplexFrame], starts: int,
             a0, witness, spectrum = _lifted_margin(phi, Jphi)
             diagnostics = [None] * len(chunk)
         else:
-            rfs = [RealifiedFrame(p, q, j_matrix(n)) for p, q in zip(phi, Jphi)]
-            estimates = ([estimate_a0(rfs[0], starts=starts, seed=chunk_seeds[0])] if len(rfs) == 1
-                         else _margin_search(rfs, starts, chunk_seeds, MAX_ITER))
+            estimates = ([estimate_a0(RealifiedFrame(phi[0], Jphi[0], j_matrix(n)), starts=starts,
+                                      seed=chunk_seeds[0])] if len(chunk) == 1
+                         else _search_chunk(_Stack(phi, Jphi, j_matrix(n),
+                                                   np.repeat(np.arange(len(chunk)), starts)),
+                                            starts, chunk_seeds, MAX_ITER))
             a0, witness, diagnostics = zip(*((e.a0, e.witness, e.diagnostics) for e in estimates))
             spectrum = _spectra(phi, Jphi, np.stack(witness))
         for i, rep in zip(chunk, _decide(phi, k, np.array(a0), witness, spectrum, chunk_seeds,

@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an int >= 0, the seeds numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="framecert",
                      description="Certify phase retrievability of finite frames.")
@@ -52,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=42, help="rng seed (default %(default)s)")
+        p.add_argument("--seed", type=_seed, default=42,
+                       help="rng seed, >= 0 (default %(default)s)")
 
     def add_solver(p):
         p.add_argument("--starts", type=int, default=64)

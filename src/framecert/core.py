@@ -184,10 +184,6 @@ class RealifiedFrame:
     def two_n(self) -> int:
         return self.phi.shape[1]
 
-    @property
-    def m(self) -> int:
-        return self.phi.shape[0]
-
 
 def build_phi(f: np.ndarray) -> np.ndarray:
     """Lifted measurement form of a single vector f in C^n.

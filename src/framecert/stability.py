@@ -185,11 +185,13 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     Trial i uses seed + i for both the perturbation and the certification.
     The base frame is certified first with ``certify_complex``; its margin
     feeds the radius computation.  The perturbed frames are then drawn in
-    trial order and certified as stacks of whole trials: in C^2 one closed
-    form gives a stack's margins, otherwise one search of starts x trials,
-    and one batch checks the stack's cross-check pairs.  No stopping rule
-    looks at another trial's rows, and every product whose rounding depends
-    on the number of rows is taken trial by trial, so each row can still be
+    trial order into one (trials, m, n) array, which gives every trial's
+    max_delta and B_prime and goes whole to ``_certify_frames``.  That
+    certifies it in chunks of whole trials: in C^2 one closed form gives a
+    chunk's margins, otherwise one search of starts x trials, and one batch
+    checks the chunk's cross-check pairs.  No stopping rule looks at
+    another trial's rows, and every product whose rounding depends on the
+    number of rows is taken trial by trial, so each row can still be
     reproduced on its own:
     ``certify_complex(perturb_frame(fr, r, seed + i), starts, seed + i)``
     gives the same verdict and the same a0, bit for bit.
@@ -211,10 +213,9 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     radius_info = stability_radius(fr, base.a0)
     r = radius_fraction * radius_info.rho
     seeds = [seed + i for i in range(trials)]
-    frames = [perturb_frame(fr, r, seed=trial_seed) for trial_seed in seeds]
-    reports = _certify_frames(frames, starts, seeds)
+    V = np.stack([perturb_frame(fr, r, seed=trial_seed).vectors for trial_seed in seeds])
+    reports = _certify_frames(V, starts, seeds)
     # max_displacement and frame_bounds(...).B of all trials, row by row alike
-    V = np.stack([fr2.vectors for fr2 in frames])
     deltas = np.linalg.norm(fr.vectors - V, axis=2).max(axis=1)
     b_primes = np.maximum(np.linalg.eigvalsh(V.swapaxes(1, 2) @ V.conj())[:, -1], 0.0)
     rows = tuple(PerturbationTrial(trial=i, seed=seeds[i], max_delta=float(deltas[i]),

@@ -459,6 +459,17 @@ def test_certify_cardinality_precheck():
     assert rep.kernel_excess is None
 
 
+def test_a_stack_below_the_cardinality_gate_is_decided_by_its_shape(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the margin of a stack below the gate was computed")
+
+    monkeypatch.setattr(certify_module, "_lifted_margin", unreachable)
+    V = np.stack([random_frame(2, 3, seed=s).vectors for s in range(3)])
+    reports = certify_module._certify_frames(V, 8, [1, 2, 3])
+    assert [(rep.verdict, rep.method, rep.a0) for rep in reports] == [
+        (VERDICT_NOT_RETRIEVABLE, "cardinality", None)] * 3
+
+
 @pytest.mark.parametrize("starts", [0, -3])
 def test_starts_is_checked_before_the_prechecks(starts):
     # the cardinality precheck would otherwise answer before the search
@@ -633,7 +644,7 @@ def test_bh5_is_inconclusive_with_an_explicit_separation_witness():
     x, y = unrealify(xi + 0.1 * w), unrealify(xi - 0.1 * w)
     left, factor = certify_module.separation_sides(fr, x[None, :], y[None, :])
     assert left[0] / factor[0] == pytest.approx(vals[1], rel=1e-6)
-    assert not certify_module._separation_holds(left, factor, TAU_PR)[0]
+    assert not magnitude_separation_check(fr, TAU_PR, x, y)
 
 
 def test_an_unresolved_margin_is_not_declared_not_retrievable():

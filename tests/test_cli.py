@@ -316,6 +316,20 @@ def test_seed_env_invalid(frames, capsys, monkeypatch):
     assert (code, doc["config"]["seed"]) == (1, 42)
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--frame", "{bh3}", "--starts", "2"],
+    ["rho", "--frame", "{bh3}", "--starts", "2"],
+    ["experiment", "perturb", "--frame", "{bh3}", "--trials", "1", "--starts", "2"],
+    ["construct", "--family", "random", "--n", "2", "--m", "6"],
+    ["construct", "--family", "bodmann-hammen", "--n", "2"],
+], ids=["certify", "rho", "experiment-perturb", "construct-random", "construct-bh"])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(frames, capsys, argv):
+    assert main([a.format(**frames) for a in argv] + ["--seed", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_output_file_writing(frames, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["certify", "--frame", frames["r3"], "--output", str(out)])

@@ -182,7 +182,8 @@ def test_stacked_certification_reproduces_whole_reports(monkeypatch, frames, sta
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
     frames = frames()
     seeds = [11 + i for i in range(len(frames))]
-    reports = certify_module._certify_frames(frames, starts, seeds)
+    reports = certify_module._certify_frames(np.stack([fr.vectors for fr in frames]), starts,
+                                             seeds)
     for fr, seed, stacked in zip(frames, seeds, reports):
         alone = certify_complex(fr, starts=starts, seed=seed)
         assert (stacked.verdict, stacked.a0) == (alone.verdict, alone.a0)
