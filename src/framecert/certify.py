@@ -155,8 +155,9 @@ STACK_ENTRIES = 2 ** 14
 # Random pairs used to cross-validate a Retrievable verdict.
 CROSS_CHECK_PAIRS = 100
 
-# Counterexample acceptance for the sampling oracle: measurement match and
-# minimum distance between rays.
+# Counterexample acceptance for the sampling oracle: measurement match, on
+# the frame scaled into [1/2, 1) (``_unit_scaled``), and minimum distance
+# between rays.
 ORACLE_MATCH_TOL = 1e-8
 ORACLE_RAY_TOL = 1e-4
 
@@ -345,8 +346,8 @@ def _deflated_eigh(rf: RealifiedFrame | _Stack, X: np.ndarray):
 @lru_cache(maxsize=4096)
 def _start_direction(seed: int, two_n: int) -> np.ndarray:
     """Unit start direction drawn from a generator seeded with ``seed``;
-    cached (read-only) because neighbouring calls share most of their
-    seeds."""
+    cached (read-only) because neighbouring calls, and neighbouring frames
+    of one stacked search, share most of their seeds."""
     v = np.random.default_rng(seed).standard_normal(two_n)
     v = v / np.linalg.norm(v)
     v.setflags(write=False)
@@ -591,9 +592,9 @@ def _search_chunk(rows: RealifiedFrame | _Stack, starts: int, seeds: list[int],
     products are taken frame by frame (``_gradient_rows``), so each result
     is bit for bit the one ``estimate_a0`` gives on that frame alone."""
     frames = len(seeds)
-    # one start direction per distinct seed: neighbouring trials share most
-    keys, which = np.unique([s + i for s in seeds for i in range(starts)], return_inverse=True)
-    X = np.stack([_start_direction(int(k), rows.J.shape[0]) for k in keys])[which]
+    # row r starts at the direction of seed seeds[r // starts] + r % starts;
+    # the cache draws a seed that neighbouring frames share only once
+    X = np.stack([_start_direction(s + i, rows.J.shape[0]) for s in seeds for i in range(starts)])
     # each row's partner w in its last step, for ``_basin_counts``
     W = np.empty_like(X)
     vals = np.full(X.shape[0], np.inf)
@@ -663,7 +664,8 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     Two phases share the budget of max_iter iterations per start.  Start i
     draws its initial direction from a generator seeded with seed + i, so
     reruns are bit identical; the directions are kept in a bounded cache
-    keyed by (seed + i, 2n), so calls whose seeds overlap, such as the
+    keyed by (seed + i, 2n), so calls whose seeds overlap, such as repeated
+    certifications, and the frames of one stacked search, such as the
     trials of ``stability_experiment``, draw each one once.  The search
     (``_search_chunk``) runs on the one frame's own rows; ``_certify_frames``
     gives it whole stacks of frames, and calls ``estimate_a0`` for a chunk
@@ -854,10 +856,9 @@ def _certify_frames(vectors: np.ndarray, starts: int,
     most STACK_ENTRIES / (m 2n starts), but at least one frame.  A single
     frame is a stack of one.
 
-    Each frame's margin is found on it scaled by 2^-k, k the binary
-    exponent of its largest realified entry, so that R(xi) neither
-    overflows nor underflows to 0.  The scaling is exact and both routes
-    are equivariant under it."""
+    Each frame's margin is found on it scaled by ``_unit_scaled``, so
+    that R(xi) neither overflows nor underflows to 0.  The scaling is exact
+    and both routes are equivariant under it."""
     starts, _ = _check_budget(starts, MAX_ITER)
     frames, m, n = vectors.shape
     if n >= 2 and m < 2 * n:
@@ -875,9 +876,9 @@ def _certify_frames(vectors: np.ndarray, starts: int,
             continue
         chunk, V = chunk[spans], V[spans]
         chunk_seeds = [seeds[i] for i in chunk]
+        V, k = _unit_scaled(V)
         phi = np.concatenate((V.real, V.imag), axis=2)
-        k = np.frexp(np.abs(phi).max(axis=(1, 2)))[1]
-        phi, Jphi = np.ldexp((phi, np.concatenate((-V.imag, V.real), axis=2)), -k[:, None, None])
+        Jphi = np.concatenate((-V.imag, V.real), axis=2)
         if n == 2:
             a0, witness, spectrum = _lifted_margin(phi, Jphi)
             diagnostics = [None] * len(chunk)
@@ -893,6 +894,15 @@ def _certify_frames(vectors: np.ndarray, starts: int,
                                          diagnostics)):
             reports[i] = rep
     return reports
+
+
+def _unit_scaled(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of the stack V (frames, m, n) each scaled by 2^-k, k the
+    binary exponent of its largest realified entry, so that entry lies in
+    [1/2, 1); and k.  ``np.ldexp`` scales both parts exactly, unless an
+    entry falls below the normal range."""
+    k = np.frexp(np.abs(V.view(np.float64)).max(axis=(1, 2)))[1]
+    return np.ldexp(V.view(np.float64), -k[:, None, None]).view(np.complex128), k
 
 
 def _spectra(phi: np.ndarray, Jphi: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -1077,18 +1087,26 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
     and that re-verification is the part of the answer independent of the
     search.  Returns None when the pair fails it.
 
+    The search and the re-verification both run on the frame scaled by
+    ``_unit_scaled``, as ``certify_complex``'s margin does, so scaling the
+    frame by a power of two leaves the answer unchanged, and any other scale
+    changes it only through rounding.  Scaling f by c scales every
+    |<x, f_k>|^2 by c^2, so a pair for the scaled frame is one for fr.
+
     Finding nothing is evidence, not proof, of injectivity.  Nor does a
     returned pair prove a0 = 0: it proves only lambda_2(R(xi)) <=
     (ORACLE_MATCH_TOL / (4 ORACLE_RAY_TOL))^2 = 6.25e-10 at a unit witness
-    xi.
+    xi of the frame scaled so that its largest realified entry lies in
+    [1/2, 1).
     """
-    rf = RealifiedFrame.from_frame(fr)
+    V = _unit_scaled(fr.vectors[None])[0][0]
+    rf = RealifiedFrame.from_frame(ComplexFrame(V))
     _, xi = estimate_a0(rf, starts=trials, seed=seed)
     w = _deflated_eigh(rf, xi[None, :])[1][0, :, 0]
     x, y = unrealify(xi + ORACLE_RAY_TOL * w), unrealify(xi - ORACLE_RAY_TOL * w)
     # plain-arithmetic re-verification before certifying the pair
-    px = _plain_magnitudes(fr.vectors.tolist(), x.tolist())
-    py = _plain_magnitudes(fr.vectors.tolist(), y.tolist())
+    px = _plain_magnitudes(V.tolist(), x.tolist())
+    py = _plain_magnitudes(V.tolist(), y.tolist())
     match = sum((a - b) ** 2 for a, b in zip(px, py)) ** 0.5
     inner = sum(complex(a) * complex(b).conjugate()
                 for a, b in zip(x.tolist(), y.tolist()))

@@ -12,7 +12,7 @@ bit exact.  Validation errors name the offending field.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -47,8 +47,9 @@ def _parse_entry(pair: Any, where: str) -> complex:
     for part, val in (("re", re), ("im", im)):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise FramecertError(f"field '{where}' has a non-numeric {part} part")
-        if not math.isfinite(val):
-            raise FramecertError(f"field '{where}' has a non-finite {part} part")
+        # compared exactly, so an int beyond double range fails too
+        if not abs(val) <= sys.float_info.max:
+            raise FramecertError(f"field '{where}' has a {part} part that is not a finite double")
     return complex(re, im)
 
 

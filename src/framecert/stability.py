@@ -69,16 +69,17 @@ CSV_HEADER = ",".join(f.name for f in fields(PerturbationTrial))
 class StabilityExperimentReport:
     """Per-trial outcomes of certifying random perturbations of a base
     frame inside a fraction of its guaranteed radius.  ``failures`` counts
-    trials whose verdict was not Retrievable; the guarantee predicts zero."""
+    trials whose verdict was not Retrievable; the guarantee predicts zero.
+    What the trials already say is not restated: the experiment's seed is
+    ``trials[0].seed`` and the largest upper frame bound is the maximum of
+    the rows' ``B_prime``."""
 
     rho: float
     radius_fraction: float
     base_B: float
     base_a0: float
     trials: tuple[PerturbationTrial, ...]
-    b_prime_max: float
     failures: int
-    seed: int
     disclaimer: str = EXPERIMENT_DISCLAIMER
 
     def to_csv(self) -> str:
@@ -182,10 +183,11 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     """Certify ``trials`` random perturbations of a retrievable frame, each
     inside radius_fraction of its guaranteed radius.
 
-    Trial i uses seed + i for both the perturbation and the certification.
-    The base frame is certified first with ``certify_complex``; its margin
-    feeds the radius computation.  The perturbed frames are then drawn in
-    trial order into one (trials, m, n) array, which gives every trial's
+    Trial i uses seed + i for both the perturbation and the certification,
+    and its row records it; the report keeps no seed of its own.  The base
+    frame is certified first with ``certify_complex``; its margin feeds the
+    radius computation.  The perturbed frames are then drawn in
+    trial order into one (trials, m, n) array, which gives every row's
     max_delta and B_prime and goes whole to ``_certify_frames``.  That
     certifies it in chunks of whole trials: in C^2 one closed form gives a
     chunk's margins, otherwise one search of starts x trials, and one batch
@@ -227,9 +229,7 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
         base_B=radius_info.B,
         base_a0=radius_info.a0,
         trials=rows,
-        b_prime_max=float(b_primes.max()),
         failures=sum(rep.verdict != VERDICT_RETRIEVABLE for rep in reports),
-        seed=seed,
     )
 
 

@@ -861,6 +861,26 @@ def test_oracle_finds_a_pair_exactly_on_not_retrievable_frames():
                     assert pair is None, (n, m, s, verdict)
 
 
+@pytest.mark.parametrize("fr, scale", [(bh(3), c) for c in (1e-4, 1e-2, 1.0, 1e3)]
+                         + [(trivial_non_retrievable(2, 4), c) for c in (1e-4, 1.0, 1e5)],
+                         ids=lambda v: str(v) if isinstance(v, float) else f"n{v.n}-m{v.m}")
+def test_oracle_answer_does_not_depend_on_the_frame_scale(fr, scale):
+    # scaling a frame changes neither its retrievability nor its pairs
+    scaled = ComplexFrame.from_vectors(scale * fr.vectors)
+    pair = injectivity_sampling_oracle(scaled, trials=8 if fr.n == 3 else 16, seed=1)
+    if fr.n == 3:
+        assert pair is None
+        return
+    assert pair is not None
+    x, y = pair
+    # the match is checked on the frame scaled into [1/2, 1)
+    mx, my = (np.abs(scaled.vectors.conj() @ v) ** 2 for v in (x, y))
+    assert np.linalg.norm(mx - my) <= (certify_module.ORACLE_MATCH_TOL
+                                       * (2.0 * np.abs(scaled.vectors).max()) ** 2)
+    ray_gap = np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2 - 2.0 * abs(np.sum(x * y.conj()))
+    assert np.sqrt(max(ray_gap, 0.0)) >= certify_module.ORACLE_RAY_TOL
+
+
 def test_oracle_matches_hand_built_counterexample():
     # x = e1 + e2 and y = e1 - e2 collide on the trivial family
     fr = trivial_non_retrievable(2, 4)

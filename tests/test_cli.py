@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from framecert import (
     trivial_non_retrievable,
 )
 from framecert.cli import _json_default, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -365,6 +371,19 @@ def test_huge_dimension_with_a_short_row_is_usage_error(tmp_path, capsys):
                              "vectors": [[[1.0, 0.0]]]}))
     assert main(["certify", "--frame", str(p)]) == 64
     assert "vectors[0]" in capsys.readouterr().err
+
+
+def test_an_integer_beyond_double_range_is_usage_error(tmp_path):
+    # a fresh process, so that an uncaught exception would show as a traceback
+    p = tmp_path / "huge-entry.json"
+    p.write_text('{"n": 1, "m": 1, "field": "complex", "vectors": [[[1' + "0" * 400 + ', 0]]]}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        q for q in (SRC, os.environ.get("PYTHONPATH")) if q))
+    proc = subprocess.run([sys.executable, "-m", "framecert.cli", "certify", "--frame", str(p)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 64
+    assert "vectors[0][0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("content", [b'\xff\xfe{"n": 1}', b"[" * 100_000],

@@ -58,6 +58,8 @@ def good_doc():
     (lambda d: d["vectors"][1].__setitem__(0, [1.0]), "vectors[1][0]"),
     (lambda d: d["vectors"][0].__setitem__(1, [0.0, "x"]), "vectors[0][1]"),
     (lambda d: d["vectors"][0].__setitem__(0, [float("nan"), 0.0]), "vectors[0][0]"),
+    (lambda d: d["vectors"][0].__setitem__(0, [10 ** 400, 0.0]), "'vectors[0][0]' has a re part"),
+    (lambda d: d["vectors"][1].__setitem__(1, [0.0, -10 ** 400]), "vectors[1][1]"),
 ])
 def test_malformed_documents_name_the_offending_field(mutate, fragment):
     doc = good_doc()
