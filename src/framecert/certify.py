@@ -31,8 +31,10 @@ Verdicts, decided in this order at the witness:
 
 * its second eigenvalue is zero to rounding (at most 2n eps times the
   largest), so the kernel is at least two dimensional: NotRetrievable
-* a0 > TAU_PR (1e-6), and still so after cross-validation of the
-  magnitude separation inequality on random pairs: Retrievable
+* a0 > TAU_PR (1e-6), and, for a margin from the search, still so after
+  cross-validation of the magnitude separation inequality on random pairs:
+  Retrievable.  The closed form in C^2 skips the cross-check: its a0 is
+  already the minimum of the pair ratio the cross-check samples.
 * anything else: Inconclusive
 
 The deliberately wide gap between the two thresholds is the honesty band: a
@@ -144,15 +146,16 @@ MAX_ITER = 2000
 BASIN_RTOL = 1e-2
 BASIN_OVERLAP_TOL = 1e-6
 
-# Entries of the largest (rows, m, 2n) array of one stacked margin search:
-# ``_certify_frames`` searches the trials of ``stability_experiment``
+# Entries of the largest (rows, m, 2n) array of one chunk of frames:
+# ``_certify_frames`` certifies the trials of ``stability_experiment``
 # together in chunks of whole frames of at most STACK_ENTRIES / (m 2n)
-# rows, or in C^2 of at most STACK_ENTRIES / (m CROSS_CHECK_PAIRS) frames;
-# both chunk rules live there alone.  Larger batches run slower per row
-# (random n=10, m=38: 20% slower at 256 rows than at 64).
+# rows, a frame being ``starts`` rows in the search and one row in the C^2
+# closed form; the chunk rule lives there alone.  Larger batches run slower
+# per row (random n=10, m=38: 20% slower at 256 rows than at 64).
 STACK_ENTRIES = 2 ** 14
 
-# Random pairs used to cross-validate a Retrievable verdict.
+# Random pairs used to cross-validate a Retrievable verdict whose margin
+# comes from the search.
 CROSS_CHECK_PAIRS = 100
 
 # Counterexample acceptance for the sampling oracle: measurement match, on
@@ -226,8 +229,9 @@ class CertificationReport:
     search's convergence counts) only by the eigen route, and
     ``failing_partition`` only by the complement route.  ``witness_xi`` is
     the unit realified direction achieving the reported margin; ``a0`` is
-    lambda_2 there, or the cross-check's worst ratio when lower, and None
-    on a NotRetrievable report whose margin overflows.
+    lambda_2 there, or on the eigen route the cross-check's worst ratio
+    when lower, and None on a NotRetrievable report whose margin
+    overflows.
     """
 
     verdict: str
@@ -818,18 +822,20 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:
          NotRetrievable, the witness a point of that kernel;
-       * a0 > TAU_PR: the margin becomes the smaller of a0 and the worst
-         ratio of the two sides of the separation inequality over
-         CROSS_CHECK_PAIRS random pairs (drawn from a generator seeded with
-         ``seed``, checked in one batch by ``separation_sides``) whose
-         right factor exceeds 1e-12.  Retrievable if that still exceeds
-         TAU_PR, Inconclusive if not;
+       * a0 > TAU_PR: Retrievable.  On the eigen route the margin first
+         becomes the smaller of a0 and the worst ratio of the two sides of
+         the separation inequality over CROSS_CHECK_PAIRS random pairs
+         (drawn from a generator seeded with ``seed``, checked in one
+         batch by ``separation_sides``) whose right factor exceeds 1e-12,
+         and the verdict is Inconclusive if that no longer exceeds TAU_PR.
+         The lifted a0 needs no such check: it is the minimum of that very
+         ratio, ||A(Q)||^2 / ||Q||_*^2 at Q = x x* - y y*;
        * otherwise Inconclusive: a small margin that double precision
          cannot tell from zero is never enough.
 
     An eigen report carries the search's ``diagnostics``; ``starts`` and
-    ``seed`` play no part in the lifted margin, only ``seed`` in its
-    cross-check.  The margin, the zero-to-rounding test and the cross-check
+    ``seed`` play no part in a lifted report, though ``starts`` is still
+    validated.  The margin, the zero-to-rounding test and the cross-check
     run on the frame scaled by the power of two that brings its largest
     entry into [1/2, 1), and a0 is scaled back by its fourth power.  So
     rescaling a frame by a power of two changes neither the witness, nor
@@ -851,10 +857,9 @@ def _certify_frames(vectors: np.ndarray, starts: int,
     whole frames, each run as one stack with one batched SVD for the span
     precheck, one ``_lifted_margin`` call in C^2 or else one stacked search
     (``_search_chunk``; ``estimate_a0`` for a chunk of one), and one
-    ``_decide``.  A chunk holds at most STACK_ENTRIES / (m CROSS_CHECK_PAIRS)
-    frames in C^2, the cross-check's largest products, and otherwise at
-    most STACK_ENTRIES / (m 2n starts), but at least one frame.  A single
-    frame is a stack of one.
+    ``_decide``.  A chunk holds at most STACK_ENTRIES / (m 2n r) frames, r
+    the rows per frame (``starts`` in the search, 1 in the closed form),
+    but at least one frame.  A single frame is a stack of one.
 
     Each frame's margin is found on it scaled by ``_unit_scaled``, so
     that R(xi) neither overflows nor underflows to 0.  The scaling is exact
@@ -865,7 +870,7 @@ def _certify_frames(vectors: np.ndarray, starts: int,
         return [CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="cardinality")
                 for _ in range(frames)]
     reports = [None] * frames
-    per = max(1, STACK_ENTRIES // (m * (CROSS_CHECK_PAIRS if n == 2 else 2 * n * starts)))
+    per = max(1, STACK_ENTRIES // (m * 2 * n * (1 if n == 2 else starts)))
     for lo in range(0, frames, per):
         V = vectors[lo:lo + per]
         chunk = np.arange(lo, lo + len(V))
@@ -957,8 +962,10 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
     """``certify_complex`` step 3 on a stack phi (frames, m, 2n) of frames
     scaled by 2^-k, once frame i's margin a0[i] is found at its unit
     witness[i], where R has the eigenvalues spectrum[i], with the search's
-    diagnostics[i] (None for a closed form).  Frame i draws its cross-check
-    pairs from ``default_rng(seeds[i])``, and all are checked in one batch.
+    diagnostics[i] (None for a closed form).  Only a searched frame (n != 2)
+    is cross-checked: frame i draws its pairs from ``default_rng(seeds[i])``,
+    and all are checked in one batch.  In C^2 a0 is already the minimum of
+    every pair's ratio, so a pair could undercut it by rounding only.
 
     The zero-to-rounding test and the cross-check run on the scaled
     frames, and only the margins they leave are scaled back by 2^(4k).  So
@@ -971,7 +978,7 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
         full = np.ldexp(a0, 4 * k)
     for i in (np.isinf(full) & ~kernel).nonzero()[0][:1]:
         raise FramecertError(f"entries too large: a0 = {float(a0[i])!r} * 2^{4 * k[i]} overflows")
-    check = (~kernel & (full > TAU_PR)).nonzero()[0]
+    check = (~kernel & (full > TAU_PR) & (n != 2)).nonzero()[0]
     worst = np.full(len(a0), np.inf)
     if check.size:
         X, Y = np.array([_random_pairs(np.random.default_rng(seeds[i]), CROSS_CHECK_PAIRS, n)

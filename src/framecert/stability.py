@@ -190,8 +190,8 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     trial order into one (trials, m, n) array, which gives every row's
     max_delta and B_prime and goes whole to ``_certify_frames``.  That
     certifies it in chunks of whole trials: in C^2 one closed form gives a
-    chunk's margins, otherwise one search of starts x trials, and one batch
-    checks the chunk's cross-check pairs.  No stopping rule looks at
+    chunk's margins, otherwise one search of starts x trials and one batch
+    that checks the chunk's cross-check pairs.  No stopping rule looks at
     another trial's rows, and every product whose rounding depends on the
     number of rows is taken trial by trial, so each row can still be
     reproduced on its own:

@@ -42,6 +42,7 @@ from framecert import (
     random_frame,
     r_matrices,
     realify,
+    stability_experiment,
     transform_frame,
     trivial_non_retrievable,
     unrealify,
@@ -408,30 +409,27 @@ def _worst_pair_ratio(fr, seed):
     return min(ratios)
 
 
-def test_cross_check_downgrades_an_optimistic_margin(monkeypatch):
-    # an estimate ten times the true margin must be caught by the random
-    # pairs and replaced by their worst ratio; in C^2 the margin comes from
-    # the closed form, which the optimistic one replaces
-    fr = bh(2)
-    true_a0 = certify_complex(fr, starts=16).a0
-    real_margin = certify_module._lifted_margin
+def test_lifted_reports_draw_no_cross_check_pair(monkeypatch):
+    # the closed form's a0 is the minimum of every pair's separation ratio,
+    # so no C^2 certification draws cross-check pairs, and the seed leaves
+    # its report alone, byte for byte
+    def unreachable(*args):
+        raise AssertionError("a lifted margin drew cross-check pairs")
 
-    def optimistic(phi, Jphi):
-        a0, witness, spectrum = real_margin(phi, Jphi)
-        return 10.0 * a0, witness, spectrum
-
-    monkeypatch.setattr(certify_module, "_lifted_margin", optimistic)
-    seed = 5
-    rep = certify_complex(fr, starts=16, seed=seed)
-    worst = _worst_pair_ratio(fr, seed)
-    assert true_a0 <= worst < 10.0 * true_a0
-    assert rep.a0 == pytest.approx(worst, rel=1e-12)
-    assert rep.verdict == (VERDICT_RETRIEVABLE if worst > TAU_PR else VERDICT_INCONCLUSIVE)
+    monkeypatch.setattr(certify_module, "_random_pairs", unreachable)
+    for fr in (bh(2), bh(2, "verbatim"), random_frame(2, 9, seed=1)):
+        reports = [certify_complex(fr, starts=16, seed=seed) for seed in (1, 5)]
+        assert reports[0].method == "lifted"
+        assert pickle.dumps(reports[0]) == pickle.dumps(reports[1])
+    report = stability_experiment(bh(2), trials=100)
+    assert len(report.trials) == 100
 
 
 def test_cross_check_downgrades_an_optimistic_searched_margin(monkeypatch):
-    # the same for a margin the search finds, in C^3, where no seed from 0
-    # to 299 gives a worst ratio below 19 times the true margin
+    # an estimate a hundred times the true margin must be caught by the
+    # random pairs and replaced by their worst ratio; only a margin the
+    # search finds is cross-checked, here in C^3, where no seed from 0 to
+    # 299 gives a worst ratio below 19 times the true margin
     fr = bh(3)
     true_a0 = certify_complex(fr, starts=16).a0
     real_estimate = certify_module.estimate_a0

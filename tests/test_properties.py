@@ -164,8 +164,8 @@ def frames_in_c2(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(frames_in_c2())
-def test_lifted_margin_is_the_minimum_the_search_finds(fr):
+@given(frames_in_c2(), SEEDS)
+def test_lifted_margin_is_the_minimum_the_search_finds(fr, seed):
     rf = RealifiedFrame.from_frame(fr)
     (a0,), (witness,), _ = certify_module._lifted_margin(rf.phi[None], rf.Jphi[None])
     searched = estimate_a0(rf, starts=64)
@@ -198,6 +198,16 @@ def test_lifted_margin_is_the_minimum_the_search_finds(fr):
     assert abs(t + (a @ C @ n) / (a @ a)) <= 1e-6
     # and the margin is ||A(Q)||^2 = ||a t + C n||^2 / 4
     assert np.sum((a * t + C @ n) ** 2) / 4.0 == pytest.approx(a0, rel=1e-6, abs=rounding)
+    # a pair's separation ratio is ||A(Q)||^2 / ||Q||_*^2 at Q = x x* - y y*,
+    # so no pair falls below a0 beyond rounding: not random pairs, and not
+    # the pair x +- 1e-4 v, v the lambda_2 eigenvector at the witness,
+    # whose Q is the minimizer's up to scale.  This is why a lifted margin
+    # is not cross-checked.
+    X, Y = certify_module._random_pairs(np.random.default_rng(seed), 200, 2)
+    v = certify_module._deflated_eigh(rf, witness[None])[1][0, :, 0]
+    step = 1e-4 * (v[:2] + 1j * v[2:])
+    left, factor = separation_sides(fr, np.vstack([X, x + step]), np.vstack([Y, x - step]))
+    assert np.all(left / factor >= a0 - max(1e-9 * a0, rounding))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,11 +243,22 @@ def test_stacked_lifted_reports_equal_lone_reports(frames, seed, per_chunk):
                ComplexFrame.from_vectors(np.outer(complex_gaussian(rng, m, 1), [1.0, 1j]))]
     frames = [frames[i] for i in rng.permutation(len(frames))]
     seeds = [seed % 1000 + i for i in range(len(frames))]
+    real_margin, sizes = certify_module._lifted_margin, []
+
+    def counting(phi, Jphi):
+        sizes.append(len(phi))
+        return real_margin(phi, Jphi)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify_module, "STACK_ENTRIES",
-                   per_chunk * certify_module.CROSS_CHECK_PAIRS * m)
+        # a frame in C^2 is one row of m 2n entries
+        mp.setattr(certify_module, "STACK_ENTRIES", per_chunk * 4 * m)
+        mp.setattr(certify_module, "_lifted_margin", counting)
         reports = certify_module._certify_frames(np.stack([fr.vectors for fr in frames]), 8,
                                                  seeds)
+    # one closed form per chunk of per_chunk frames, on its spanning frames
+    lifted = [rep.method == "lifted" for rep in reports]
+    assert sizes == [k for k in (sum(lifted[lo:lo + per_chunk])
+                                 for lo in range(0, len(frames), per_chunk)) if k]
     for fr, s, stacked in zip(frames, seeds, reports):
         alone = certify_complex(fr, starts=8, seed=s)
         assert (stacked.verdict, stacked.method, stacked.diagnostics) == (

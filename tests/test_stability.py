@@ -131,23 +131,38 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
         assert a.a0_estimate == pytest.approx(b.a0_estimate, rel=1e-12)
 
 
-@pytest.mark.parametrize("n, starts, trials, stack_entries", [
-    (2, 16, 10, certify_module.STACK_ENTRIES),
-    (2, 16, 10, 2 * certify_module.CROSS_CHECK_PAIRS * 4),
-    (3, 16, 10, certify_module.STACK_ENTRIES),
-    (3, 16, 10, 2 * 16 * 48),
-    (4, 4, 4, certify_module.STACK_ENTRIES),
+def _count_lifted_chunks(monkeypatch):
+    # the number of frames of each _lifted_margin call, in call order
+    real, sizes = certify_module._lifted_margin, []
+
+    def counting(phi, Jphi):
+        sizes.append(len(phi))
+        return real(phi, Jphi)
+
+    monkeypatch.setattr(certify_module, "_lifted_margin", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n, starts, trials, stack_entries, lifted_chunks", [
+    (2, 16, 10, certify_module.STACK_ENTRIES, [1, 10]),
+    (2, 16, 10, 2 * 4 * 4, [1] + [2] * 5),
+    (3, 16, 10, certify_module.STACK_ENTRIES, []),
+    (3, 16, 10, 2 * 16 * 48, []),
+    (4, 4, 4, certify_module.STACK_ENTRIES, []),
 ], ids=["bh2", "bh2-chunks-of-two", "bh3", "bh3-chunks-of-two", "bh4-newton-phase"])
 def test_stability_experiment_rows_match_separate_certifications(monkeypatch, n, starts, trials,
-                                                                 stack_entries):
+                                                                 stack_entries, lifted_chunks):
     # the trials are certified as one stack (in chunks of two trials when
     # the entries hold two frames of 16 starts with m 2n = 48, or in C^2
-    # the cross-check pairs of two frames of m = 4, whose margins come in
-    # closed form; BH n=4 at 4 starts reaches the Newton phase); each row
-    # must still be what certify_complex gives on that trial's frame alone
+    # two frames of one row with m 2n = 16, whose margins come in closed
+    # form after the base frame's; BH n=4 at 4 starts reaches the Newton
+    # phase); each row must still be what certify_complex gives on that
+    # trial's frame alone
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
+    sizes = _count_lifted_chunks(monkeypatch)
     fr = bodmann_hammen(BodmannHammenParams(n=n))
     report = stability_experiment(fr, trials=trials, starts=starts, seed=5)
+    assert sizes == lifted_chunks
     r = report.radius_fraction * report.rho
     for row in report.trials:
         alone = certify_complex(perturb_frame(fr, r, seed=5 + row.trial), starts=starts,
@@ -161,28 +176,30 @@ def _bh_trials(n, starts, trials):
     return [perturb_frame(fr, 0.99 * rho, seed=5 + i) for i in range(trials)]
 
 
-@pytest.mark.parametrize("frames, starts, stack_entries, verdict", [
-    (lambda: _bh_trials(2, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
-    (lambda: _bh_trials(2, 16, 10), 16, 2 * certify_module.CROSS_CHECK_PAIRS * 4,
-     VERDICT_RETRIEVABLE),
-    (lambda: _bh_trials(3, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
-    (lambda: _bh_trials(3, 16, 10), 16, 2 * 16 * 48, VERDICT_RETRIEVABLE),
-    (lambda: _bh_trials(4, 4, 4), 4, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE),
+@pytest.mark.parametrize("frames, starts, stack_entries, verdict, lifted_chunks", [
+    (lambda: _bh_trials(2, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE,
+     [10]),
+    (lambda: _bh_trials(2, 16, 10), 16, 2 * 4 * 4, VERDICT_RETRIEVABLE, [2] * 5),
+    (lambda: _bh_trials(3, 16, 10), 16, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE, []),
+    (lambda: _bh_trials(3, 16, 10), 16, 2 * 16 * 48, VERDICT_RETRIEVABLE, []),
+    (lambda: _bh_trials(4, 4, 4), 4, certify_module.STACK_ENTRIES, VERDICT_RETRIEVABLE, []),
     (lambda: [random_frame(3, 7, seed=s) for s in range(4)], 16,
-     certify_module.STACK_ENTRIES, VERDICT_NOT_RETRIEVABLE),
+     certify_module.STACK_ENTRIES, VERDICT_NOT_RETRIEVABLE, []),
 ], ids=["bh2", "bh2-chunks-of-two", "bh3", "bh3-chunks-of-two", "bh4-newton-phase",
         "random3-not-retrievable"])
 def test_stacked_certification_reproduces_whole_reports(monkeypatch, frames, starts,
-                                                        stack_entries, verdict):
+                                                        stack_entries, verdict, lifted_chunks):
     # the experiment's trial rows carry only verdict and a0; the stacked
     # path must reproduce every field of each frame's own certify_complex
     # report, including the Newton run of a leader near zero that decides
     # NotRetrievable
     monkeypatch.setattr(certify_module, "STACK_ENTRIES", stack_entries)
     frames = frames()
+    sizes = _count_lifted_chunks(monkeypatch)
     seeds = [11 + i for i in range(len(frames))]
     reports = certify_module._certify_frames(np.stack([fr.vectors for fr in frames]), starts,
                                              seeds)
+    assert sizes == lifted_chunks
     for fr, seed, stacked in zip(frames, seeds, reports):
         alone = certify_complex(fr, starts=starts, seed=seed)
         assert (stacked.verdict, stacked.a0) == (alone.verdict, alone.a0)
