@@ -17,7 +17,8 @@ from ._version import __version__
 # ``__all__``.  Each comes after the modules it imports, so the lookup
 # loads little beyond what the name's module loads anyway, and a name from
 # ``errors`` or ``bounds`` loads no numpy.  ``cli`` exports no name.
-_MODULES = ("errors", "bounds", "core", "frameio", "constructions", "certify", "stability")
+_MODULES = ("errors", "bounds", "core", "frameio", "constructions", "lifted", "certify",
+            "stability")
 
 
 def _module(name: str):

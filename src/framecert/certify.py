@@ -30,7 +30,11 @@ Mixon and Nelson 2014).
 Verdicts, decided in this order at the witness:
 
 * its second eigenvalue is zero to rounding (at most 2n eps times the
-  largest), so the kernel is at least two dimensional: NotRetrievable
+  largest), so the kernel is at least two dimensional: NotRetrievable,
+  unless ``lifted_certificate`` (``lifted.py``) proves the frame
+  retrievable.  That veto makes the verdict Inconclusive: one vector much
+  longer than the rest sets the largest eigenvalue, and a positive lambda_2
+  can then sit below its rounding.
 * a0 > TAU_PR (1e-6), and, for a margin from the search, still so after
   cross-validation of the magnitude separation inequality on random pairs:
   Retrievable.  The closed form in C^2 skips the cross-check: its a0 is
@@ -821,7 +825,9 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
 
        * the second eigenvalue is zero to rounding, at most 2n eps times
          the largest, so the kernel is at least two dimensional:
-         NotRetrievable, the witness a point of that kernel;
+         NotRetrievable, the witness a point of that kernel, unless
+         ``lifted_certificate`` proves the frame retrievable, which makes
+         the verdict Inconclusive;
        * a0 > TAU_PR: Retrievable.  On the eigen route the margin first
          becomes the smaller of a0 and the worst ratio of the two sides of
          the separation inequality over CROSS_CHECK_PAIRS random pairs
@@ -967,13 +973,24 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
     and all are checked in one batch.  In C^2 a0 is already the minimum of
     every pair's ratio, so a pair could undercut it by rounding only.
 
-    The zero-to-rounding test and the cross-check run on the scaled
-    frames, and only the margins they leave are scaled back by 2^(4k).  So
-    a kernel point is NotRetrievable at any scale (with ``a0`` None where
-    its margin overflows), and no cross-check pair is lost to overflow."""
+    A frame whose witness is zero to rounding is NotRetrievable unless
+    ``lifted_certificate`` proves it retrievable, and then Inconclusive;
+    the certificate runs on those frames only.  The zero-to-rounding test
+    and the cross-check run on the scaled frames, and only the margins
+    they leave are scaled back by 2^(4k).  So a kernel point is
+    NotRetrievable at any scale (with ``a0`` None where its margin
+    overflows), and no cross-check pair is lost to overflow."""
     n = phi.shape[2] // 2
     # the second eigenvalue is zero to rounding: a kernel beyond J xi
     kernel = spectrum[:, 1] <= 2 * n * np.finfo(float).eps * spectrum[:, -1]
+    # unless the lifted certificate proves the frame retrievable: then the
+    # test met only the rounding of the frame's longest vector
+    vetoed = np.zeros_like(kernel)
+    if kernel.any():
+        # imported here, so a process that meets no kernel point never loads it
+        from .lifted import lifted_certificate
+        for i in kernel.nonzero()[0]:
+            vetoed[i] = lifted_certificate(ComplexFrame(phi[i, :, :n] + 1j * phi[i, :, n:])).proved
     with np.errstate(over="ignore"):
         full = np.ldexp(a0, 4 * k)
     for i in (np.isinf(full) & ~kernel).nonzero()[0][:1]:
@@ -990,7 +1007,7 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
     low = worst < a0
     full[low] = np.ldexp(worst[low], 4 * k[low])
     return [CertificationReport(
-        verdict=(VERDICT_NOT_RETRIEVABLE if kernel[i] else
+        verdict=(VERDICT_INCONCLUSIVE if vetoed[i] else VERDICT_NOT_RETRIEVABLE if kernel[i] else
                  VERDICT_RETRIEVABLE if full[i] > TAU_PR else VERDICT_INCONCLUSIVE),
         method="lifted" if d is None else "eigen",
         a0=None if np.isinf(full[i]) else float(full[i]),
@@ -1100,12 +1117,19 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
     changes it only through rounding.  Scaling f by c scales every
     |<x, f_k>|^2 by c^2, so a pair for the scaled frame is one for fr.
 
-    Finding nothing is evidence, not proof, of injectivity.  Nor does a
-    returned pair prove a0 = 0: it proves only lambda_2(R(xi)) <=
+    First of all, a frame that ``lifted_certificate`` proves retrievable
+    (its lifted map's kernel has dimension <= 1 and holds no difference
+    x x* - y y* but 0) has no such pair, and the oracle returns None
+    without a search: there None is a proof.  Otherwise finding nothing is
+    evidence, not proof, of injectivity.  Nor does a returned pair prove
+    a0 = 0: it proves only lambda_2(R(xi)) <=
     (ORACLE_MATCH_TOL / (4 ORACLE_RAY_TOL))^2 = 6.25e-10 at a unit witness
     xi of the frame scaled so that its largest realified entry lies in
     [1/2, 1).
     """
+    from .lifted import lifted_certificate
+    if lifted_certificate(fr).proved:
+        return None
     V = _unit_scaled(fr.vectors[None])[0][0]
     rf = RealifiedFrame.from_frame(ComplexFrame(V))
     _, xi = estimate_a0(rf, starts=trials, seed=seed)

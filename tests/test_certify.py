@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from framecert import certify as certify_module
+from framecert import lifted as lifted_module
 from framecert import (
     TAU_PR,
     VERDICT_INCONCLUSIVE,
@@ -34,6 +35,7 @@ from framecert import (
     estimate_a0,
     hmw_lower_bound,
     injectivity_sampling_oracle,
+    lifted_certificate,
     magnitude_separation_check,
     r3_example,
     r_matrix,
@@ -669,6 +671,35 @@ def test_random_frame_below_the_cardinality_bound_is_not_retrievable():
     assert certify_complex(scaled, starts=64).verdict == VERDICT_NOT_RETRIEVABLE
 
 
+@pytest.mark.parametrize("n, c", [(2, 1e4), (2, 1e8), (3, 1e5), (3, 1e8)])
+def test_one_long_vector_does_not_make_a_proved_frame_not_retrievable(n, c):
+    # vector 0 times c sets lambda_max, so lambda_2 at the witness (of the
+    # closed form in C^2, of the search in C^3) is zero to its rounding;
+    # the lifted certificate, on the vectors each scaled to unit length,
+    # proves the frame retrievable and vetoes NotRetrievable
+    V = bh(n).vectors.copy()
+    V[0] *= c
+    rep = certify_complex(ComplexFrame.from_vectors(V), starts=8)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.kernel_excess is None
+
+
+def test_the_certificate_runs_only_where_the_witness_is_zero_to_rounding(monkeypatch):
+    calls = []
+
+    def counting(fr):
+        calls.append(fr.m)
+        return lifted_certificate(fr)
+
+    monkeypatch.setattr(lifted_module, "lifted_certificate", counting)
+    for fr in (bh(2), bh(3), bh(3, "verbatim"), random_frame(4, 14, seed=0)):
+        assert certify_complex(fr, starts=8).verdict != VERDICT_NOT_RETRIEVABLE
+    assert calls == []
+    assert certify_complex(trivial_non_retrievable(3, 10), starts=8).verdict == (
+        VERDICT_NOT_RETRIEVABLE)
+    assert calls == [10]
+
+
 def test_verdict_invariant_under_equivalence_transforms():
     rng = np.random.default_rng(24)
     for fr, expected in ((bh(2), VERDICT_RETRIEVABLE),
@@ -860,13 +891,15 @@ def test_oracle_finds_a_pair_exactly_on_not_retrievable_frames():
 
 
 @pytest.mark.parametrize("fr, scale", [(bh(3), c) for c in (1e-4, 1e-2, 1.0, 1e3)]
+                         + [(bh(4), c) for c in (1e-4, 1.0, 1e3)]
                          + [(trivial_non_retrievable(2, 4), c) for c in (1e-4, 1.0, 1e5)],
                          ids=lambda v: str(v) if isinstance(v, float) else f"n{v.n}-m{v.m}")
 def test_oracle_answer_does_not_depend_on_the_frame_scale(fr, scale):
-    # scaling a frame changes neither its retrievability nor its pairs
+    # scaling a frame changes neither its retrievability nor its pairs; the
+    # certificate settles BH n=3, and BH n=4 (d = 4) goes to the search
     scaled = ComplexFrame.from_vectors(scale * fr.vectors)
-    pair = injectivity_sampling_oracle(scaled, trials=8 if fr.n == 3 else 16, seed=1)
-    if fr.n == 3:
+    pair = injectivity_sampling_oracle(scaled, trials=8 if fr.n > 2 else 16, seed=1)
+    if fr.n > 2:
         assert pair is None
         return
     assert pair is not None
@@ -892,8 +925,44 @@ def test_oracle_matches_hand_built_counterexample():
 
 def test_oracle_finds_nothing_on_certified_frames():
     assert injectivity_sampling_oracle(bh(2), trials=1000, seed=3) is None
+    # d = 4: the certificate leaves BH n=4 to the search
+    assert injectivity_sampling_oracle(bh(4), trials=64, seed=3) is None
     single = ComplexFrame.from_vectors(np.array([[1.0 + 0j]]))
     assert injectivity_sampling_oracle(single, trials=100, seed=4) is None
+
+
+def test_oracle_returns_nothing_on_frames_the_certificate_proves():
+    # the search used to return a pair on each: BH n=3 verbatim certifies
+    # Inconclusive, and with vector 0 times 1e3 BH n=3 certifies Retrievable
+    for seed in (1, 2, 3):
+        assert injectivity_sampling_oracle(bh(3, "verbatim"), trials=16, seed=seed) is None
+    for c in (1e3, 1e5, 1e8):
+        V = bh(3).vectors.copy()
+        V[0] *= c
+        assert injectivity_sampling_oracle(ComplexFrame.from_vectors(V), trials=16, seed=1) is None
+
+
+def test_oracle_searches_exactly_the_frames_the_certificate_leaves(monkeypatch):
+    calls = []
+    search = certify_module.estimate_a0
+
+    def counting(rf, *args, **kwargs):
+        calls.append(rf.phi.shape)
+        return search(rf, *args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "estimate_a0", counting)
+    proved = [bh(2), bh(3), bh(3, "verbatim"), random_frame(3, 9, seed=0),
+              random_frame(4, 15, seed=0)]
+    unproved = [bh(4), random_frame(3, 7, seed=2), trivial_non_retrievable(2, 4),
+                trivial_non_retrievable(3, 8)]
+    for fr in proved:
+        assert lifted_certificate(fr).proved
+        assert injectivity_sampling_oracle(fr, trials=4, seed=1) is None
+    assert calls == []
+    for k, fr in enumerate(unproved, 1):
+        assert not lifted_certificate(fr).proved
+        injectivity_sampling_oracle(fr, trials=4, seed=1)
+        assert len(calls) == k
 
 
 NO_SCIPY = """

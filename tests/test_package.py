@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import framecert
-from framecert import bounds, certify, constructions, core, errors, frameio, stability
+from framecert import bounds, certify, constructions, core, errors, frameio, lifted, stability
 from framecert.constructions import random_frame
 from framecert.frameio import dump_frame
 
-MODULES = (errors, bounds, core, frameio, constructions, certify, stability)
+MODULES = (errors, bounds, core, frameio, constructions, lifted, certify, stability)
 
 # The public names of the 0.1.0 package, less the five error subclasses that
 # no caller caught and that were folded into FramecertError; none may disappear.
@@ -55,6 +55,12 @@ def test_package_defines_no_public_name_of_its_own():
     own = {name for name, value in vars(framecert).items()
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert own <= set(framecert.__all__)
+
+
+def test_the_lifted_module_exports_its_certificate():
+    assert lifted.__all__ == ["LiftedCertificate", "lifted_map", "lifted_certificate"]
+    assert framecert.lifted_certificate is lifted.lifted_certificate
+    assert framecert.__all__.index("lifted_certificate") < framecert.__all__.index("TAU_PR")
 
 
 def test_released_names_remain():
@@ -127,12 +133,14 @@ def frame_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (["bounds", "--n", "4"], {"numpy", "framecert.core", "framecert.certify"}),
+    (["bounds", "--n", "4"], {"numpy", "framecert.core", "framecert.lifted", "framecert.certify"}),
     (["construct", "--family", "random", "--n", "3", "--m", "8"],
-     {"framecert.certify", "framecert.stability"}),
+     {"framecert.lifted", "framecert.certify", "framecert.stability"}),
     (["experiment", "path", "--frame", "{0}", "--frame2", "{1}"],
-     {"framecert.certify", "framecert.stability"}),
-    (["certify", "--frame", "{0}"], {"framecert.stability", "framecert.constructions"}),
+     {"framecert.lifted", "framecert.certify", "framecert.stability"}),
+    # the lifted certificate loads only where a witness is zero to rounding
+    (["certify", "--frame", "{0}"],
+     {"framecert.stability", "framecert.constructions", "framecert.lifted"}),
 ], ids=["bounds", "construct", "path", "certify"])
 def test_each_command_loads_only_what_it_runs(frame_files, argv, absent):
     loaded = loaded_after("from framecert import cli\nassert cli.main(sys.argv[1:]) == 0",
