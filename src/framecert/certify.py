@@ -21,11 +21,11 @@ Because numerical minimization can only ever over-estimate a minimum, the
 returned value is an upper bound on the true margin and never by itself a
 certificate.
 
-In C^2 ``certify_complex`` needs no search: there a0 is the minimum of a
-quadratic over a sphere in the Pauli coordinates of the lifted difference
-x x* - y y*, one smallest singular vector of an m x 3 matrix
-(``_lifted_margin``; Balan, Casazza and Edidin 2006, Bandeira, Cahill,
-Mixon and Nelson 2014).
+In C^2 ``certify_complex`` needs no search: ``lifted.py``, which owns the
+lifted map A(Q)_k = f_k* Q f_k, gives the witness in closed form from one
+smallest singular vector of A on the traceless Hermitian matrices
+(Balan, Casazza and Edidin 2006; Bandeira, Cahill, Mixon and Nelson 2014),
+and the margin is lambda_2 of R there, read as on the search route.
 
 Verdicts, decided in this order at the witness:
 
@@ -235,7 +235,13 @@ class CertificationReport:
     the unit realified direction achieving the reported margin; ``a0`` is
     lambda_2 there, or on the eigen route the cross-check's worst ratio
     when lower, and None on a NotRetrievable report whose margin
-    overflows.
+    overflows.  An Inconclusive report that the lifted certificate's veto
+    made (a witness zero to rounding on a frame the certificate proves)
+    keeps its route's margin.  That margin is at most the rounding of the
+    largest eigenvalue there, which can still be far above TAU_PR: BH n=2
+    with vector 0 scaled by 1e5 reads a0 of about 2.6e3 (x86-64, numpy
+    2.4), against a true margin of 0.35.  The report says nothing more, so
+    an Inconclusive report with a0 > TAU_PR is a vetoed one.
     """
 
     verdict: str
@@ -491,13 +497,14 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int):
     return X, vecs[:, :, 0], used, stopped
 
 
-def _check_budget(starts: int, max_iter: int) -> tuple[int, int]:
-    """Both as Python ints; refuse a search with no starts or no iterations."""
-    starts, max_iter = operator.index(starts), operator.index(max_iter)
-    for name, value in (("starts", starts), ("max_iter", max_iter)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    return starts, max_iter
+def _checked(name: str, value: int, least: int) -> int:
+    """``value`` as a Python int; refuse one below ``least``, naming it: a
+    search with no starts or no iterations, or a seed that numpy's
+    generators do not take."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _level_with(v: np.ndarray, top: np.ndarray, trace: np.ndarray, two_n: int) -> np.ndarray:
@@ -708,8 +715,8 @@ def estimate_a0(rf: RealifiedFrame, starts: int = 64, max_iter: int = MAX_ITER,
     the frame scaled by a power of two c gives exactly c^4 a0, the same
     witness and equal diagnostics.
     """
-    starts, max_iter = _check_budget(starts, max_iter)
-    return _search_chunk(rf, starts, [seed], max_iter)[0]
+    starts, max_iter = _checked("starts", starts, 1), _checked("max_iter", max_iter, 1)
+    return _search_chunk(rf, starts, [_checked("seed", seed, 0)], max_iter)[0]
 
 
 def rank_kernel_check(rf: RealifiedFrame, xi: np.ndarray) -> RankKernelResult:
@@ -817,7 +824,7 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Find the margin: for n = 2 in closed form (method "lifted", see
-       ``_lifted_margin``), otherwise with ``estimate_a0`` at its default
+       ``lifted._c2_witnesses``), otherwise with ``estimate_a0`` at its default
        budget MAX_ITER (method "eigen"), whose Newton phase has already
        finished every start that did not join, the leader near zero
        included.  One ``eigvalsh`` of R at the witness then decides, in
@@ -840,10 +847,11 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
          cannot tell from zero is never enough.
 
     An eigen report carries the search's ``diagnostics``; ``starts`` and
-    ``seed`` play no part in a lifted report, though ``starts`` is still
-    validated.  The margin, the zero-to-rounding test and the cross-check
-    run on the frame scaled by the power of two that brings its largest
-    entry into [1/2, 1), and a0 is scaled back by its fourth power.  So
+    ``seed`` play no part in a lifted report, though both are still
+    validated on every route: ``starts`` >= 1 and ``seed`` >= 0.  The
+    margin, the zero-to-rounding test and the cross-check run on the frame
+    scaled by the power of two that brings its largest entry into [1/2, 1),
+    and a0 is scaled back by its fourth power.  So
     rescaling a frame by a power of two changes neither the witness, nor
     the diagnostics, nor the zero-to-rounding test, and a NotRetrievable
     verdict holds at every such scale (with a0 None where it overflows).
@@ -857,20 +865,24 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
 def _certify_frames(vectors: np.ndarray, starts: int,
                     seeds: list[int]) -> list[CertificationReport]:
     """``certify_complex`` on each frame of the stack ``vectors`` (frames,
-    m, n), frame i with seed seeds[i].  ``starts`` is checked before any
-    precheck, and the cardinality gate is one test of the stack's shape.
-    This is the one place that sizes chunks: the frames go in chunks of
-    whole frames, each run as one stack with one batched SVD for the span
-    precheck, one ``_lifted_margin`` call in C^2 or else one stacked search
-    (``_search_chunk``; ``estimate_a0`` for a chunk of one), and one
-    ``_decide``.  A chunk holds at most STACK_ENTRIES / (m 2n r) frames, r
-    the rows per frame (``starts`` in the search, 1 in the closed form),
-    but at least one frame.  A single frame is a stack of one.
+    m, n), frame i with seed seeds[i].  ``starts`` and the seeds are checked
+    before any precheck, and the cardinality gate is one test of the
+    stack's shape.  This is the one place that sizes chunks: the frames go
+    in chunks of whole frames, each run as one stack with one batched SVD
+    for the span precheck, then in C^2 one ``lifted._c2_witnesses`` call
+    (imported there, so a process that certifies no frame in C^2 never
+    loads ``lifted.py`` for it) or else one stacked search
+    (``_search_chunk``; ``estimate_a0`` for a chunk of one), one
+    ``_spectra`` of R at the witnesses, and one ``_decide``.  A chunk holds
+    at most STACK_ENTRIES / (m 2n r) frames, r the rows per frame
+    (``starts`` in the search, 1 in the closed form), but at least one
+    frame.  A single frame is a stack of one.
 
     Each frame's margin is found on it scaled by ``_unit_scaled``, so
     that R(xi) neither overflows nor underflows to 0.  The scaling is exact
-    and both routes are equivariant under it."""
-    starts, _ = _check_budget(starts, MAX_ITER)
+    and both routes are equivariant under it.  The closed form's margin is
+    lambda_2 of R at its witness; the search's is the one it reports."""
+    starts, seeds = _checked("starts", starts, 1), [_checked("seed", s, 0) for s in seeds]
     frames, m, n = vectors.shape
     if n >= 2 and m < 2 * n:
         return [CertificationReport(verdict=VERDICT_NOT_RETRIEVABLE, method="cardinality")
@@ -891,8 +903,8 @@ def _certify_frames(vectors: np.ndarray, starts: int,
         phi = np.concatenate((V.real, V.imag), axis=2)
         Jphi = np.concatenate((-V.imag, V.real), axis=2)
         if n == 2:
-            a0, witness, spectrum = _lifted_margin(phi, Jphi)
-            diagnostics = [None] * len(chunk)
+            from .lifted import _c2_witnesses
+            witness, a0, diagnostics = _c2_witnesses(V), None, [None] * len(chunk)
         else:
             estimates = ([estimate_a0(RealifiedFrame(phi[0], Jphi[0], j_matrix(n)), starts=starts,
                                       seed=chunk_seeds[0])] if len(chunk) == 1
@@ -900,9 +912,10 @@ def _certify_frames(vectors: np.ndarray, starts: int,
                                                    np.repeat(np.arange(len(chunk)), starts)),
                                             starts, chunk_seeds, MAX_ITER))
             a0, witness, diagnostics = zip(*((e.a0, e.witness, e.diagnostics) for e in estimates))
-            spectrum = _spectra(phi, Jphi, np.stack(witness))
-        for i, rep in zip(chunk, _decide(phi, k, np.array(a0), witness, spectrum, chunk_seeds,
-                                         diagnostics)):
+        spectrum = _spectra(phi, Jphi, np.stack(witness))
+        # the closed form's margin is lambda_2 of R at its witness
+        a0 = np.maximum(spectrum[:, 1], 0.0) if a0 is None else np.array(a0)
+        for i, rep in zip(chunk, _decide(V, k, a0, witness, spectrum, chunk_seeds, diagnostics)):
             reports[i] = rep
     return reports
 
@@ -926,52 +939,16 @@ def _spectra(phi: np.ndarray, Jphi: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(B.swapaxes(1, 2) @ B)
 
 
-def _lifted_margin(phi: np.ndarray, Jphi: np.ndarray):
-    """The margins of a stack of frames in C^2 (phi and Jphi of shape
-    (frames, m, 4)) in closed form, with no search: each frame's a0, its
-    unit witness (frames, 4) and the eigenvalues of R there (frames, 4).
-
-    a0 is the minimum of ||A(Q)||^2 over the Hermitian Q = p p* - q q* of
-    nuclear norm 1, where A(Q)_k = f_k* Q f_k.  In Pauli coordinates Q =
-    (t I + n . sigma) / 2 with |n| = 1 and |t| <= 1, and A(Q) = (a t + C n) / 2
-    with a_k = ||f_k||^2 and row k of C the Stokes vector of f_k = (alpha,
-    beta): 2 Re(conj(alpha) beta), 2 Im(conj(alpha) beta), |alpha|^2 -
-    |beta|^2.  Since |C_k| = a_k, |a^T C n| <= ||a||^2, so the best t =
-    -a^T C n / ||a||^2 always lies in [-1, 1], and n is the smallest right
-    singular vector of C with its part along a removed.  With u+- the +-1
-    eigenvectors of n . sigma, p = sqrt((1 + t) / 2) u+ and q = sqrt((1 - t)
-    / 2) u-; x = p + q and w = p - q are unit with x w* + w x* = 2 Q, so
-    the witness is realify(x).  As in the search, the margin is lambda_2 of
-    R there.
-    """
-    p0, p1, p2, p3 = phi.transpose(2, 0, 1)
-    a = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
-    C = np.stack([2.0 * (p0 * p1 + p2 * p3), 2.0 * (p0 * p3 - p1 * p2),
-                  p0 * p0 + p2 * p2 - p1 * p1 - p3 * p3], axis=2)
-    # dot products as (1, m) @ (m, 1) matmuls, which make the BLAS calls of
-    # one frame's vector products, so a frame rounds alike in any stack
-    aa, aC = (a[:, None, :] @ a[:, :, None])[:, 0, 0], (a[:, None, :] @ C)[:, 0]
-    n = np.linalg.svd(C - a[:, :, None] * (aC / aa[:, None])[:, None, :])[2][:, -1]
-    # |t| <= 1 in exact arithmetic; rounding can step past it
-    t = np.clip(-(aC[:, None, :] @ n[:, :, None])[:, 0, 0] / aa, -1.0, 1.0)
-    n0, n1, n2 = n.T
-    U = np.linalg.eigh(np.array([[n2, n0 - 1j * n1], [n0 + 1j * n1, -n2]]).transpose(2, 0, 1))[1]
-    x = (np.sqrt(np.array([1.0 - t, 1.0 + t]).T / 2.0)[:, None, :] * U).sum(axis=2)
-    xi = np.concatenate([x.real, x.imag], axis=1)
-    xi /= np.sqrt(xi[:, None, :] @ xi[:, :, None])[:, 0]
-    spectrum = _spectra(phi, Jphi, xi)
-    return np.maximum(spectrum[:, 1], 0.0), xi, spectrum
-
-
-def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: np.ndarray,
+def _decide(V: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: np.ndarray,
             seeds: list[int], diagnostics) -> list[CertificationReport]:
-    """``certify_complex`` step 3 on a stack phi (frames, m, 2n) of frames
-    scaled by 2^-k, once frame i's margin a0[i] is found at its unit
+    """``certify_complex`` step 3 on a stack V (frames, m, n) of complex
+    frames scaled by 2^-k, once frame i's margin a0[i] is found at its unit
     witness[i], where R has the eigenvalues spectrum[i], with the search's
-    diagnostics[i] (None for a closed form).  Only a searched frame (n != 2)
-    is cross-checked: frame i draws its pairs from ``default_rng(seeds[i])``,
-    and all are checked in one batch.  In C^2 a0 is already the minimum of
-    every pair's ratio, so a pair could undercut it by rounding only.
+    diagnostics[i] (None for the closed form).  Only a searched frame (n !=
+    2) is cross-checked: frame i draws its pairs from
+    ``default_rng(seeds[i])``, and all are checked in one batch.  In C^2 a0
+    is already the minimum of every pair's ratio, so a pair could undercut
+    it by rounding only.
 
     A frame whose witness is zero to rounding is NotRetrievable unless
     ``lifted_certificate`` proves it retrievable, and then Inconclusive;
@@ -980,7 +957,7 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
     they leave are scaled back by 2^(4k).  So a kernel point is
     NotRetrievable at any scale (with ``a0`` None where its margin
     overflows), and no cross-check pair is lost to overflow."""
-    n = phi.shape[2] // 2
+    n = V.shape[2]
     # the second eigenvalue is zero to rounding: a kernel beyond J xi
     kernel = spectrum[:, 1] <= 2 * n * np.finfo(float).eps * spectrum[:, -1]
     # unless the lifted certificate proves the frame retrievable: then the
@@ -990,7 +967,7 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
         # imported here, so a process that meets no kernel point never loads it
         from .lifted import lifted_certificate
         for i in kernel.nonzero()[0]:
-            vetoed[i] = lifted_certificate(ComplexFrame(phi[i, :, :n] + 1j * phi[i, :, n:])).proved
+            vetoed[i] = lifted_certificate(ComplexFrame(V[i])).proved
     with np.errstate(over="ignore"):
         full = np.ldexp(a0, 4 * k)
     for i in (np.isinf(full) & ~kernel).nonzero()[0][:1]:
@@ -1000,7 +977,7 @@ def _decide(phi: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: n
     if check.size:
         X, Y = np.array([_random_pairs(np.random.default_rng(seeds[i]), CROSS_CHECK_PAIRS, n)
                          for i in check]).swapaxes(0, 1)
-        left, factor = _separation_sides(phi[check, :, :n] + 1j * phi[check, :, n:], X, Y)
+        left, factor = _separation_sides(V[check], X, Y)
         # the worst ratio over the pairs whose right factor exceeds 1e-12
         worst[check] = np.divide(left, factor, out=np.full_like(left, np.inf),
                                  where=factor > 1e-12).min(axis=1)
@@ -1117,7 +1094,8 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
     changes it only through rounding.  Scaling f by c scales every
     |<x, f_k>|^2 by c^2, so a pair for the scaled frame is one for fr.
 
-    First of all, a frame that ``lifted_certificate`` proves retrievable
+    ``trials`` (>= 1) and ``seed`` (>= 0) are checked first, on every
+    frame.  Then a frame that ``lifted_certificate`` proves retrievable
     (its lifted map's kernel has dimension <= 1 and holds no difference
     x x* - y y* but 0) has no such pair, and the oracle returns None
     without a search: there None is a proof.  Otherwise finding nothing is
@@ -1127,6 +1105,7 @@ def injectivity_sampling_oracle(fr: ComplexFrame, trials: int = 64,
     xi of the frame scaled so that its largest realified entry lies in
     [1/2, 1).
     """
+    trials, seed = _checked("trials", trials, 1), _checked("seed", seed, 0)
     from .lifted import lifted_certificate
     if lifted_certificate(fr).proved:
         return None

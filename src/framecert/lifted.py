@@ -17,6 +17,12 @@ d >= 2.  Scaling a vector by a nonzero scalar leaves K, V and so the
 answer unchanged, so A is built on the nonzero vectors each scaled to
 unit length: then every row of A has norm 1, and no one long vector sets
 the scale against which the rest are rounding.
+
+In C^2 every Hermitian matrix has at most one positive and one negative
+eigenvalue, so V is the whole space, and the margin is the minimum of
+||A(Q)||^2 over all Q of nuclear norm 1.  ``_c2_witnesses`` reads that
+minimizer off A in the same basis, in closed form, and gives
+``certify_complex`` its witness there with no search.
 """
 
 from __future__ import annotations
@@ -84,12 +90,12 @@ def _unit_rows(V: np.ndarray) -> tuple[np.ndarray, float, int]:
 
 
 def _lift(U: np.ndarray) -> np.ndarray:
-    """The m x n^2 matrix of A for the rows of U, in the basis of
-    ``lifted_map``."""
-    n = U.shape[1]
+    """The m x n^2 matrix of A for the rows of U (m, n), in the basis of
+    ``lifted_map``, or one such matrix per frame of a stack (frames, m, n)."""
+    n = U.shape[-1]
     j, l = np.triu_indices(n, 1)
-    off = np.sqrt(2.0) * U[:, j].conj() * U[:, l]
-    return np.concatenate((U.real ** 2 + U.imag ** 2, off.real, -off.imag), axis=1)
+    off = np.sqrt(2.0) * U[..., j].conj() * U[..., l]
+    return np.concatenate((U.real ** 2 + U.imag ** 2, off.real, -off.imag), axis=-1)
 
 
 def lifted_map(V) -> np.ndarray:
@@ -102,13 +108,49 @@ def lifted_map(V) -> np.ndarray:
 
 
 def _hermitian(q: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian matrix of the coordinates q in the basis of
-    ``lifted_map``."""
+    """The Hermitian matrix of the coordinates q (n^2,) in the basis of
+    ``lifted_map``, or one per row of a stack q (frames, n^2)."""
     j, l = np.triu_indices(n, 1)
-    z = (q[n:n + len(j)] + 1j * q[n + len(j):]) / np.sqrt(2.0)
-    Q = np.diag(q[:n]).astype(np.complex128)
-    Q[j, l], Q[l, j] = z, z.conj()
+    z = (q[..., n:n + len(j)] + 1j * q[..., n + len(j):]) / np.sqrt(2.0)
+    Q = np.zeros(q.shape[:-1] + (n, n), dtype=np.complex128)
+    Q[..., range(n), range(n)] = q[..., :n]
+    Q[..., j, l], Q[..., l, j] = z, z.conj()
     return Q
+
+
+def _c2_witnesses(V: np.ndarray) -> np.ndarray:
+    """The unit realified witnesses (frames, 4) of the margins of a stack V
+    (frames, m, 2) of frames in C^2, in closed form, with no search.
+
+    Write Q = s I + Theta with Theta traceless.  With L_0 .. L_3 the columns
+    of A = ``_lift(V)``, A(Q) = s a + G theta: a = L_0 + L_1 = A(I) holds the
+    squared lengths ||f_k||^2, G = [(L_0 - L_1) / sqrt(2), L_2, L_3] is A on
+    the orthonormal traceless basis (E_00 - E_11) / sqrt(2), then the two
+    off-diagonal elements of ``lifted_map``, and theta holds Theta's
+    coordinates there.  Theta's eigenvalues are +-||theta|| / sqrt(2), so Q
+    has nuclear norm 1 at ||theta|| = 1 / sqrt(2) and |s| <= 1/2.  Row k of
+    G has norm a_k / sqrt(2), so |a^T G theta| <= ||a||^2 / 2: the best s =
+    -a^T G theta / ||a||^2 always lies in [-1/2, 1/2], and theta is the
+    smallest right singular vector of G with its part along a removed.
+    With (lambda_j, u_j) Q's two eigenpairs, x = sum_j sqrt|lambda_j| u_j
+    and w = sum_j sign(lambda_j) sqrt|lambda_j| u_j are unit with x w* +
+    w x* = 2 Q, and the witness is realify(x); the margin is lambda_2 of R
+    there, as in the search.
+    """
+    l0, l1, l2, l3 = np.moveaxis(_lift(V), -1, 0)
+    a, G = l0 + l1, np.stack(((l0 - l1) / np.sqrt(2.0), l2, l3), axis=-1)
+    # dot products as (1, m) @ (m, 1) matmuls, which make the BLAS calls of
+    # one frame's vector products, so a frame rounds alike in any stack
+    aa, aG = (a[:, None, :] @ a[:, :, None])[:, 0, 0], (a[:, None, :] @ G)[:, 0]
+    theta = np.linalg.svd(G - a[:, :, None] * (aG / aa[:, None])[:, None, :])[2][:, -1] / 2 ** 0.5
+    # |s| <= 1/2 in exact arithmetic; rounding can step past it
+    s = np.clip(-(aG[:, None, :] @ theta[:, :, None])[:, 0, 0] / aa, -0.5, 0.5)
+    q = np.concatenate((s[:, None] + theta[:, :1] / np.sqrt(2.0) * [1.0, -1.0], theta[:, 1:]),
+                       axis=1)
+    lam, U = np.linalg.eigh(_hermitian(q, 2))
+    x = (np.sqrt(np.abs(lam))[:, None, :] * U).sum(axis=2)
+    xi = np.concatenate((x.real, x.imag), axis=1)
+    return xi / np.sqrt(xi[:, None, :] @ xi[:, :, None])[:, 0]
 
 
 def _distance_to_v(w: np.ndarray) -> float:

@@ -250,7 +250,7 @@ def searched_report(fr, starts):
     rf = RealifiedFrame.from_frame(fr)
     estimate = estimate_a0(rf, starts=starts)
     spectrum = np.linalg.eigvalsh(r_matrix(rf, estimate.witness))
-    return certify_module._decide(rf.phi[None], np.zeros(1, dtype=int), np.array([estimate.a0]),
+    return certify_module._decide(fr.vectors[None], np.zeros(1, dtype=int), np.array([estimate.a0]),
                                   estimate.witness[None], spectrum[None], [42],
                                   [estimate.diagnostics])[0]
 
@@ -463,7 +463,7 @@ def test_a_stack_below_the_cardinality_gate_is_decided_by_its_shape(monkeypatch)
     def unreachable(*args):
         raise AssertionError("the margin of a stack below the gate was computed")
 
-    monkeypatch.setattr(certify_module, "_lifted_margin", unreachable)
+    monkeypatch.setattr(lifted_module, "_c2_witnesses", unreachable)
     V = np.stack([random_frame(2, 3, seed=s).vectors for s in range(3)])
     reports = certify_module._certify_frames(V, 8, [1, 2, 3])
     assert [(rep.verdict, rep.method, rep.a0) for rep in reports] == [
@@ -477,6 +477,28 @@ def test_starts_is_checked_before_the_prechecks(starts):
     for fr in (trivial_non_retrievable(3, 5), bodmann_hammen(BodmannHammenParams(n=2))):
         with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
             certify_complex(fr, starts=starts)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_negative_seed_is_refused_on_every_route(n):
+    # in C^2 the closed form reads no seed, and in C^3 numpy's generator
+    # would refuse it without naming the parameter
+    for call in (lambda: certify_complex(bh(n), starts=2, seed=-1),
+                 lambda: estimate_a0(RealifiedFrame.from_frame(bh(n)), starts=2, seed=-1),
+                 lambda: stability_experiment(bh(n), trials=2, starts=2, seed=-3)):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -\d"):
+            call()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_oracle_checks_its_arguments_on_every_frame(n):
+    # BH n=3 is proved by the lifted certificate, which answers before any
+    # search; BH n=4 is left to the search, whose parameter is starts
+    for kwargs, message in (({"trials": 0}, "trials must be >= 1, got 0"),
+                            ({"trials": -5, "seed": -1}, "trials must be >= 1, got -5"),
+                            ({"trials": 4, "seed": -1}, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=message):
+            injectivity_sampling_oracle(bh(n), **kwargs)
 
 
 def test_certify_single_vector_line_bypasses_cardinality_gate():

@@ -30,6 +30,7 @@ from framecert import (
     trivial_non_retrievable,
 )
 from framecert import certify as certify_module
+from framecert import lifted as lifted_module
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -167,7 +168,10 @@ def frames_in_c2(draw):
 @given(frames_in_c2(), SEEDS)
 def test_lifted_margin_is_the_minimum_the_search_finds(fr, seed):
     rf = RealifiedFrame.from_frame(fr)
-    (a0,), (witness,), _ = certify_module._lifted_margin(rf.phi[None], rf.Jphi[None])
+    (witness,) = lifted_module._c2_witnesses(fr.vectors[None])
+    # the margin is lambda_2 of R at the witness, as certify_complex reads it
+    R = r_matrix(rf, witness)
+    a0 = max(np.linalg.eigvalsh(R)[1], 0.0)
     searched = estimate_a0(rf, starts=64)
     # B^2, B the upper frame bound, bounds lambda_max(R(xi)) at every unit
     # xi; the two values differ at most by the rounding of lambda_2 there
@@ -175,8 +179,6 @@ def test_lifted_margin_is_the_minimum_the_search_finds(fr, seed):
     rounding = 4 * np.finfo(float).eps * frame_bounds(fr).B ** 2
     assert abs(a0 - searched.a0) <= max(1e-9 * searched.a0, rounding)
     assert abs(np.linalg.norm(witness) - 1.0) <= 1e-15
-    R = r_matrix(rf, witness)
-    assert a0 == max(np.linalg.eigvalsh(R)[1], 0.0)
     assert certify_complex(fr).diagnostics is None
     # the witness x and its lambda_2 partner w (J x adds nothing to
     # x w* + w x*) give Q = (x w* + w x*) / 2 = (t I + n . sigma) / 2 with
@@ -243,16 +245,16 @@ def test_stacked_lifted_reports_equal_lone_reports(frames, seed, per_chunk):
                ComplexFrame.from_vectors(np.outer(complex_gaussian(rng, m, 1), [1.0, 1j]))]
     frames = [frames[i] for i in rng.permutation(len(frames))]
     seeds = [seed % 1000 + i for i in range(len(frames))]
-    real_margin, sizes = certify_module._lifted_margin, []
+    real_witnesses, sizes = lifted_module._c2_witnesses, []
 
-    def counting(phi, Jphi):
-        sizes.append(len(phi))
-        return real_margin(phi, Jphi)
+    def counting(V):
+        sizes.append(len(V))
+        return real_witnesses(V)
 
     with pytest.MonkeyPatch.context() as mp:
         # a frame in C^2 is one row of m 2n entries
         mp.setattr(certify_module, "STACK_ENTRIES", per_chunk * 4 * m)
-        mp.setattr(certify_module, "_lifted_margin", counting)
+        mp.setattr(lifted_module, "_c2_witnesses", counting)
         reports = certify_module._certify_frames(np.stack([fr.vectors for fr in frames]), 8,
                                                  seeds)
     # one closed form per chunk of per_chunk frames, on its spanning frames

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from framecert import certify as certify_module
+from framecert import lifted as lifted_module
 from framecert import stability as stability_module
 from framecert import (
     VERDICT_NOT_RETRIEVABLE,
@@ -132,14 +133,14 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
 
 
 def _count_lifted_chunks(monkeypatch):
-    # the number of frames of each _lifted_margin call, in call order
-    real, sizes = certify_module._lifted_margin, []
+    # the number of frames of each closed-form call in C^2, in call order
+    real, sizes = lifted_module._c2_witnesses, []
 
-    def counting(phi, Jphi):
-        sizes.append(len(phi))
-        return real(phi, Jphi)
+    def counting(V):
+        sizes.append(len(V))
+        return real(V)
 
-    monkeypatch.setattr(certify_module, "_lifted_margin", counting)
+    monkeypatch.setattr(lifted_module, "_c2_witnesses", counting)
     return sizes
 
 
