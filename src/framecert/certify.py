@@ -22,10 +22,11 @@ returned value is an upper bound on the true margin and never by itself a
 certificate.
 
 In C^2 ``certify_complex`` needs no search: ``lifted.py``, which owns the
-lifted map A(Q)_k = f_k* Q f_k, gives the witness in closed form from one
-smallest singular vector of A on the traceless Hermitian matrices
-(Balan, Casazza and Edidin 2006; Bandeira, Cahill, Mixon and Nelson 2014),
-and the margin is lambda_2 of R there, read as on the search route.
+lifted map A(Q)_k = f_k* Q f_k, gives the margin and its witness in closed
+form from one QR of the lifted rows and the smallest singular value of A
+on the traceless Hermitian matrices projected off A(I) (Balan, Casazza and
+Edidin 2006; Bandeira, Cahill, Mixon and Nelson 2014).  R is formed there
+only for the zero-to-rounding test.
 
 Verdicts, decided in this order at the witness:
 
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -71,6 +71,7 @@ from .core import (
     RANK_RTOL,
     ComplexFrame,
     RealifiedFrame,
+    _checked,
     gradient_rows,
     j_matrix,
     r_matrix,
@@ -232,16 +233,18 @@ class CertificationReport:
     set only by the two spectral routes, ``diagnostics`` (the margin
     search's convergence counts) only by the eigen route, and
     ``failing_partition`` only by the complement route.  ``witness_xi`` is
-    the unit realified direction achieving the reported margin; ``a0`` is
-    lambda_2 there, or on the eigen route the cross-check's worst ratio
-    when lower, and None on a NotRetrievable report whose margin
-    overflows.  An Inconclusive report that the lifted certificate's veto
-    made (a witness zero to rounding on a frame the certificate proves)
-    keeps its route's margin.  That margin is at most the rounding of the
-    largest eigenvalue there, which can still be far above TAU_PR: BH n=2
-    with vector 0 scaled by 1e5 reads a0 of about 2.6e3 (x86-64, numpy
-    2.4), against a true margin of 0.35.  The report says nothing more, so
-    an Inconclusive report with a0 > TAU_PR is a vetoed one.
+    the unit realified direction achieving the reported margin.  ``a0`` is,
+    on the eigen route, lambda_2 there or the cross-check's worst ratio
+    when lower; on the lifted route, the closed form's minimum; and None
+    on a NotRetrievable report whose margin overflows.  An Inconclusive
+    report that the lifted certificate's veto made (a witness zero to
+    rounding on a frame the certificate proves) keeps its route's margin,
+    which can lie far above TAU_PR.  On the lifted route it is the true
+    margin to rounding: BH n=2 with vector 0 scaled by 1e5 reads 0.34904,
+    its true margin.  On the eigen route it is at most the rounding of the
+    largest eigenvalue of R: BH n=3 with vector 0 scaled by 1e5 reads 0.0
+    at 8 starts.  The report says nothing more, so an Inconclusive report
+    with a0 > TAU_PR is a vetoed one.
     """
 
     verdict: str
@@ -495,16 +498,6 @@ def _polish(rf: RealifiedFrame | _Stack, X: np.ndarray, budget: int):
         np.minimum.at(best, frame[live], vals[live, 0])
         live = live[~stopped[live]]
     return X, vecs[:, :, 0], used, stopped
-
-
-def _checked(name: str, value: int, least: int) -> int:
-    """``value`` as a Python int; refuse one below ``least``, naming it: a
-    search with no starts or no iterations, or a seed that numpy's
-    generators do not take."""
-    value = operator.index(value)
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _level_with(v: np.ndarray, top: np.ndarray, trace: np.ndarray, two_n: int) -> np.ndarray:
@@ -824,7 +817,7 @@ def certify_complex(fr: ComplexFrame, starts: int = 64,
     2. A family that does not span cannot be retrievable: method
        "not-a-frame".
     3. Find the margin: for n = 2 in closed form (method "lifted", see
-       ``lifted._c2_witnesses``), otherwise with ``estimate_a0`` at its default
+       ``lifted._c2_margins``), otherwise with ``estimate_a0`` at its default
        budget MAX_ITER (method "eigen"), whose Newton phase has already
        finished every start that did not join, the leader near zero
        included.  One ``eigvalsh`` of R at the witness then decides, in
@@ -869,7 +862,7 @@ def _certify_frames(vectors: np.ndarray, starts: int,
     before any precheck, and the cardinality gate is one test of the
     stack's shape.  This is the one place that sizes chunks: the frames go
     in chunks of whole frames, each run as one stack with one batched SVD
-    for the span precheck, then in C^2 one ``lifted._c2_witnesses`` call
+    for the span precheck, then in C^2 one ``lifted._c2_margins`` call
     (imported there, so a process that certifies no frame in C^2 never
     loads ``lifted.py`` for it) or else one stacked search
     (``_search_chunk``; ``estimate_a0`` for a chunk of one), one
@@ -880,8 +873,8 @@ def _certify_frames(vectors: np.ndarray, starts: int,
 
     Each frame's margin is found on it scaled by ``_unit_scaled``, so
     that R(xi) neither overflows nor underflows to 0.  The scaling is exact
-    and both routes are equivariant under it.  The closed form's margin is
-    lambda_2 of R at its witness; the search's is the one it reports."""
+    and both routes are equivariant under it.  Each margin is the one its
+    route found; ``_spectra`` feeds only the zero-to-rounding test."""
     starts, seeds = _checked("starts", starts, 1), [_checked("seed", s, 0) for s in seeds]
     frames, m, n = vectors.shape
     if n >= 2 and m < 2 * n:
@@ -903,8 +896,8 @@ def _certify_frames(vectors: np.ndarray, starts: int,
         phi = np.concatenate((V.real, V.imag), axis=2)
         Jphi = np.concatenate((-V.imag, V.real), axis=2)
         if n == 2:
-            from .lifted import _c2_witnesses
-            witness, a0, diagnostics = _c2_witnesses(V), None, [None] * len(chunk)
+            from .lifted import _c2_margins
+            (witness, a0), diagnostics = _c2_margins(V), [None] * len(chunk)
         else:
             estimates = ([estimate_a0(RealifiedFrame(phi[0], Jphi[0], j_matrix(n)), starts=starts,
                                       seed=chunk_seeds[0])] if len(chunk) == 1
@@ -913,8 +906,6 @@ def _certify_frames(vectors: np.ndarray, starts: int,
                                             starts, chunk_seeds, MAX_ITER))
             a0, witness, diagnostics = zip(*((e.a0, e.witness, e.diagnostics) for e in estimates))
         spectrum = _spectra(phi, Jphi, np.stack(witness))
-        # the closed form's margin is lambda_2 of R at its witness
-        a0 = np.maximum(spectrum[:, 1], 0.0) if a0 is None else np.array(a0)
         for i, rep in zip(chunk, _decide(V, k, a0, witness, spectrum, chunk_seeds, diagnostics)):
             reports[i] = rep
     return reports
@@ -939,16 +930,16 @@ def _spectra(phi: np.ndarray, Jphi: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(B.swapaxes(1, 2) @ B)
 
 
-def _decide(V: np.ndarray, k: np.ndarray, a0: np.ndarray, witness, spectrum: np.ndarray,
+def _decide(V: np.ndarray, k: np.ndarray, a0, witness, spectrum: np.ndarray,
             seeds: list[int], diagnostics) -> list[CertificationReport]:
     """``certify_complex`` step 3 on a stack V (frames, m, n) of complex
-    frames scaled by 2^-k, once frame i's margin a0[i] is found at its unit
-    witness[i], where R has the eigenvalues spectrum[i], with the search's
-    diagnostics[i] (None for the closed form).  Only a searched frame (n !=
-    2) is cross-checked: frame i draws its pairs from
-    ``default_rng(seeds[i])``, and all are checked in one batch.  In C^2 a0
-    is already the minimum of every pair's ratio, so a pair could undercut
-    it by rounding only.
+    frames scaled by 2^-k, once frame i's route has found its margin a0[i]
+    at its unit witness[i], where R has the eigenvalues spectrum[i], read
+    for the zero-to-rounding test alone, with the search's diagnostics[i]
+    (None for the closed form).  Only a searched frame (n != 2) is
+    cross-checked: frame i draws its pairs from ``default_rng(seeds[i])``,
+    and all are checked in one batch.  In C^2 a0 is already the minimum of
+    every pair's ratio, so a pair could undercut it by rounding only.
 
     A frame whose witness is zero to rounding is NotRetrievable unless
     ``lifted_certificate`` proves it retrievable, and then Inconclusive;

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import ComplexFrame, rank_by_svd
+from .core import ComplexFrame, _checked, rank_by_svd
 from .errors import FramecertError
 
 __all__ = [
@@ -145,7 +145,7 @@ def random_frame(n: int, m: int, seed: int = 42) -> ComplexFrame:
     """
     if n < 1 or m < 1:
         raise FramecertError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked("seed", seed, 0))
     vectors = (rng.standard_normal((m, n))
                + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     if rank_by_svd(vectors) < n:

@@ -18,6 +18,7 @@ All functions are pure and share no mutable state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +54,16 @@ RANK_RTOL = 1e-9
 # Condition-number cap for the transforms and frame operators that are
 # inverted.
 COND_CAP = 1e12
+
+
+def _checked(name: str, value: int, least: int) -> int:
+    """``value`` as a Python int; refuse one below ``least``, naming it: a
+    count of starts, iterations, trials or samples that leaves nothing to
+    do, or a seed that numpy's generators do not take."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def j_matrix(n: int) -> np.ndarray:

@@ -20,9 +20,9 @@ the scale against which the rest are rounding.
 
 In C^2 every Hermitian matrix has at most one positive and one negative
 eigenvalue, so V is the whole space, and the margin is the minimum of
-||A(Q)||^2 over all Q of nuclear norm 1.  ``_c2_witnesses`` reads that
-minimizer off A in the same basis, in closed form, and gives
-``certify_complex`` its witness there with no search.
+||A(Q)||^2 over all Q of nuclear norm 1.  ``_c2_margins`` reads that
+minimum and its minimizer off A in the same basis, in closed form, and
+gives ``certify_complex`` its margin and witness there with no search.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def _hermitian(q: np.ndarray, n: int) -> np.ndarray:
     return Q
 
 
-def _c2_witnesses(V: np.ndarray) -> np.ndarray:
-    """The unit realified witnesses (frames, 4) of the margins of a stack V
-    (frames, m, 2) of frames in C^2, in closed form, with no search.
+def _c2_margins(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit realified witnesses (frames, 4) and the margins (frames,) of
+    a stack V (frames, m, 2) of frames in C^2, in closed form, with no
+    search.
 
     Write Q = s I + Theta with Theta traceless.  With L_0 .. L_3 the columns
     of A = ``_lift(V)``, A(Q) = s a + G theta: a = L_0 + L_1 = A(I) holds the
@@ -130,27 +131,34 @@ def _c2_witnesses(V: np.ndarray) -> np.ndarray:
     coordinates there.  Theta's eigenvalues are +-||theta|| / sqrt(2), so Q
     has nuclear norm 1 at ||theta|| = 1 / sqrt(2) and |s| <= 1/2.  Row k of
     G has norm a_k / sqrt(2), so |a^T G theta| <= ||a||^2 / 2: the best s =
-    -a^T G theta / ||a||^2 always lies in [-1/2, 1/2], and theta is the
-    smallest right singular vector of G with its part along a removed.
-    With (lambda_j, u_j) Q's two eigenpairs, x = sum_j sqrt|lambda_j| u_j
-    and w = sum_j sign(lambda_j) sqrt|lambda_j| u_j are unit with x w* +
-    w x* = 2 Q, and the witness is realify(x); the margin is lambda_2 of R
-    there, as in the search.
+    -a^T G theta / ||a||^2 always lies in [-1/2, 1/2], and the margin is
+    sigma_min(P G)^2 / 2, P the projection off a.
+
+    One Householder QR of [a, G] gives P G's triangular factor as the
+    trailing 3 x 3 block of R, and s = -r_01 theta / r_00.  The rows go in
+    by decreasing length, which keeps the factorization accurate row by
+    row when the lengths spread widely (Cox and Higham 1998), and a stacked
+    QR factors each frame alone, so a frame rounds alike in any stack.
+    theta is the smallest right singular vector of that block over
+    sqrt(2).  With (lambda_j, u_j) Q's two eigenpairs, x = sum_j
+    sqrt|lambda_j| u_j and w = sum_j sign(lambda_j) sqrt|lambda_j| u_j are
+    unit with x w* + w x* = 2 Q, and the witness is realify(x).
     """
     l0, l1, l2, l3 = np.moveaxis(_lift(V), -1, 0)
-    a, G = l0 + l1, np.stack(((l0 - l1) / np.sqrt(2.0), l2, l3), axis=-1)
-    # dot products as (1, m) @ (m, 1) matmuls, which make the BLAS calls of
-    # one frame's vector products, so a frame rounds alike in any stack
-    aa, aG = (a[:, None, :] @ a[:, :, None])[:, 0, 0], (a[:, None, :] @ G)[:, 0]
-    theta = np.linalg.svd(G - a[:, :, None] * (aG / aa[:, None])[:, None, :])[2][:, -1] / 2 ** 0.5
+    rows = np.stack((l0 + l1, (l0 - l1) / np.sqrt(2.0), l2, l3), axis=-1)
+    # row k has length a_k sqrt(3/2): sort the rows by decreasing a_k
+    order = np.argsort(-rows[..., :1], axis=1, kind="stable")
+    R = np.linalg.qr(np.take_along_axis(rows, order, axis=1), mode="r")
+    _, sigma, Vt = np.linalg.svd(R[:, 1:, 1:])
+    theta = Vt[:, -1] / np.sqrt(2.0)
     # |s| <= 1/2 in exact arithmetic; rounding can step past it
-    s = np.clip(-(aG[:, None, :] @ theta[:, :, None])[:, 0, 0] / aa, -0.5, 0.5)
+    s = np.clip(-(R[:, 0, 1:] * theta).sum(axis=1) / R[:, 0, 0], -0.5, 0.5)
     q = np.concatenate((s[:, None] + theta[:, :1] / np.sqrt(2.0) * [1.0, -1.0], theta[:, 1:]),
                        axis=1)
     lam, U = np.linalg.eigh(_hermitian(q, 2))
     x = (np.sqrt(np.abs(lam))[:, None, :] * U).sum(axis=2)
     xi = np.concatenate((x.real, x.imag), axis=1)
-    return xi / np.sqrt(xi[:, None, :] @ xi[:, :, None])[:, 0]
+    return xi / np.sqrt(xi[:, None, :] @ xi[:, :, None])[:, 0], sigma[:, -1] ** 2 / 2.0
 
 
 def _distance_to_v(w: np.ndarray) -> float:

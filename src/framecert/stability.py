@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ComplexFrame, RealifiedFrame, frame_bounds, l_matrix
+from .core import ComplexFrame, RealifiedFrame, _checked, frame_bounds, l_matrix
 from .errors import FramecertError, NotRetrievableInput
 from .certify import VERDICT_RETRIEVABLE, _certify_frames, certify_complex
 
@@ -155,7 +155,7 @@ def perturb_frame(fr: ComplexFrame, radius: float, seed: int = 42) -> ComplexFra
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked("seed", seed, 0))
     n = fr.n
     d = n if fr.field == "real" else 2 * n
     G = rng.standard_normal((fr.m, d))
@@ -201,8 +201,7 @@ def stability_experiment(fr: ComplexFrame, trials: int = 100,
     Fractions above 1 explore beyond the guaranteed radius; failures there
     are reported, never asserted against.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _checked("trials", trials, 1)
     if not (np.isfinite(radius_fraction) and radius_fraction > 0.0):
         raise ValueError(
             f"radius_fraction must be positive and finite, got {radius_fraction}"
@@ -246,8 +245,7 @@ def l_matrix_gap_audit(fr: ComplexFrame, fr2: ComplexFrame, samples: int = 200,
     slack; that would indicate a defect in the implementation, not in the
     sampled frames.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples, seed = _checked("samples", samples, 1), _checked("seed", seed, 0)
     delta = max_displacement(fr, fr2)
     b = frame_bounds(fr).B
     b2 = frame_bounds(fr2).B

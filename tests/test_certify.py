@@ -50,6 +50,7 @@ from framecert import (
     unrealify,
 )
 from framecert.cli import _json_default
+from test_lifted import c2_margin_is_at_least
 
 
 def bh(n, variant="two_pi"):
@@ -463,7 +464,7 @@ def test_a_stack_below_the_cardinality_gate_is_decided_by_its_shape(monkeypatch)
     def unreachable(*args):
         raise AssertionError("the margin of a stack below the gate was computed")
 
-    monkeypatch.setattr(lifted_module, "_c2_witnesses", unreachable)
+    monkeypatch.setattr(lifted_module, "_c2_margins", unreachable)
     V = np.stack([random_frame(2, 3, seed=s).vectors for s in range(3)])
     reports = certify_module._certify_frames(V, 8, [1, 2, 3])
     assert [(rep.verdict, rep.method, rep.a0) for rep in reports] == [
@@ -701,9 +702,15 @@ def test_one_long_vector_does_not_make_a_proved_frame_not_retrievable(n, c):
     # proves the frame retrievable and vetoes NotRetrievable
     V = bh(n).vectors.copy()
     V[0] *= c
-    rep = certify_complex(ComplexFrame.from_vectors(V), starts=8)
+    fr = ComplexFrame.from_vectors(V)
+    rep = certify_complex(fr, starts=8)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.kernel_excess is None
+    if n == 2:
+        # the closed form's margin is its own, not lambda_2 read again
+        assert rep.a0 >= lifted_certificate(fr).a0_lower
+        assert c2_margin_is_at_least(V, rep.a0 * (1.0 - 1e-12))
+        assert not c2_margin_is_at_least(V, rep.a0 * (1.0 + 1e-12))
 
 
 def test_the_certificate_runs_only_where_the_witness_is_zero_to_rounding(monkeypatch):

@@ -140,7 +140,7 @@ def c2_margin_is_at_least(F, bound):
     exact rational arithmetic on the float entries.  There a0 is the
     smallest eigenvalue of G / 4, G = C^T C - (C^T a)(a^T C) / a^T a, with
     a_k = ||f_k||^2 and C the m x 3 matrix of Stokes vectors: C is sqrt(2)
-    times the traceless block of ``lifted._c2_witnesses``, with its columns
+    times the traceless block of ``lifted._c2_margins``, with its columns
     permuted and one negated, so a0 >= bound exactly when G - 4 bound I is
     positive semidefinite: when all seven of its principal minors are
     nonnegative."""
@@ -164,34 +164,31 @@ def c2_margin_is_at_least(F, bound):
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(min_value=4, max_value=12), seed=SEEDS)
 def test_a0_lower_is_below_the_margin_in_c2_in_exact_arithmetic(m, seed):
-    # lengths spread over 10^+-3: there the closed form's own a0 can fall
-    # to rounding noise, so the margin is formed exactly instead
+    # lengths spread over 10^+-3: the bound lies below the margin formed
+    # exactly and below the closed form's own, which is exact to rounding
     rng = np.random.default_rng(seed)
     F = complex_gaussian(rng, m, 2) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
     cert = lifted_certificate(ComplexFrame.from_vectors(F))
     assert cert.kernel_dim == 0 and cert.proved
     assert c2_margin_is_at_least(F, cert.a0_lower)
-    # the exact test is tight: on the vectors scaled to unit length, where
-    # the closed form is accurate, it refuses 1.01 times the closed form
+    assert cert.a0_lower <= certify_complex(ComplexFrame.from_vectors(F)).a0
+    # the exact test is tight: on the vectors scaled to unit length it
+    # refuses 1.01 times the closed form
     G = F / np.linalg.norm(F, axis=1, keepdims=True)
     assert not c2_margin_is_at_least(G, 1.01 * certify_complex(ComplexFrame.from_vectors(G)).a0)
 
 
 def test_the_closed_form_in_c2_is_bracketed_by_the_exact_margin():
-    # lengths spread over 10^+-1, where the closed form is accurate: on
-    # these 300 seeds (273 frames with a0 > 1e-3) a relative 1e-8 holds on
-    # both sides and 1e-9 misses one frame
-    frames = 0
-    for seed in range(300):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(4, 13))
-        F = complex_gaussian(rng, m, 2) * 10.0 ** rng.uniform(-1.0, 1.0, size=(m, 1))
-        a0 = certify_complex(ComplexFrame.from_vectors(F)).a0
-        if a0 > 1e-3:
-            frames += 1
-            assert c2_margin_is_at_least(F, a0 * (1.0 - 1e-8)), seed
-            assert not c2_margin_is_at_least(F, a0 * (1.0 + 1e-8)), seed
-    assert frames == 273
+    # lengths spread over 10^+-1 and over 10^+-3: on each of these 300
+    # frames a relative 1e-12 holds on both sides, small margins included
+    for spread in (1.0, 3.0):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(4, 13))
+            F = complex_gaussian(rng, m, 2) * 10.0 ** rng.uniform(-spread, spread, size=(m, 1))
+            a0 = certify_complex(ComplexFrame.from_vectors(F)).a0
+            assert c2_margin_is_at_least(F, a0 * (1.0 - 1e-12)), (spread, seed)
+            assert not c2_margin_is_at_least(F, a0 * (1.0 + 1e-12)), (spread, seed)
 
 
 @pytest.mark.parametrize("fr", [bh(2), bh(3), bh(3, "verbatim"), random_frame(3, 8, seed=1),

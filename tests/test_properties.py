@@ -168,15 +168,15 @@ def frames_in_c2(draw):
 @given(frames_in_c2(), SEEDS)
 def test_lifted_margin_is_the_minimum_the_search_finds(fr, seed):
     rf = RealifiedFrame.from_frame(fr)
-    (witness,) = lifted_module._c2_witnesses(fr.vectors[None])
-    # the margin is lambda_2 of R at the witness, as certify_complex reads it
+    (witness,), (a0,) = lifted_module._c2_margins(fr.vectors[None])
     R = r_matrix(rf, witness)
-    a0 = max(np.linalg.eigvalsh(R)[1], 0.0)
     searched = estimate_a0(rf, starts=64)
     # B^2, B the upper frame bound, bounds lambda_max(R(xi)) at every unit
-    # xi; the two values differ at most by the rounding of lambda_2 there
-    # (at most 0.6 eps B^2 on 1500 such frames)
+    # xi; the closed form's margin, lambda_2 of R at its witness and the
+    # search's differ at most by the rounding of lambda_2 there (at most
+    # 0.6 eps B^2 on 1500 such frames)
     rounding = 4 * np.finfo(float).eps * frame_bounds(fr).B ** 2
+    assert abs(a0 - np.linalg.eigvalsh(R)[1]) <= max(1e-9 * a0, rounding)
     assert abs(a0 - searched.a0) <= max(1e-9 * searched.a0, rounding)
     assert abs(np.linalg.norm(witness) - 1.0) <= 1e-15
     assert certify_complex(fr).diagnostics is None
@@ -245,16 +245,16 @@ def test_stacked_lifted_reports_equal_lone_reports(frames, seed, per_chunk):
                ComplexFrame.from_vectors(np.outer(complex_gaussian(rng, m, 1), [1.0, 1j]))]
     frames = [frames[i] for i in rng.permutation(len(frames))]
     seeds = [seed % 1000 + i for i in range(len(frames))]
-    real_witnesses, sizes = lifted_module._c2_witnesses, []
+    real_margins, sizes = lifted_module._c2_margins, []
 
     def counting(V):
         sizes.append(len(V))
-        return real_witnesses(V)
+        return real_margins(V)
 
     with pytest.MonkeyPatch.context() as mp:
         # a frame in C^2 is one row of m 2n entries
         mp.setattr(certify_module, "STACK_ENTRIES", per_chunk * 4 * m)
-        mp.setattr(lifted_module, "_c2_witnesses", counting)
+        mp.setattr(lifted_module, "_c2_margins", counting)
         reports = certify_module._certify_frames(np.stack([fr.vectors for fr in frames]), 8,
                                                  seeds)
     # one closed form per chunk of per_chunk frames, on its spanning frames

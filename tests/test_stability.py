@@ -134,13 +134,13 @@ def test_stability_experiment_with_joining_matches_the_search_without_it(monkeyp
 
 def _count_lifted_chunks(monkeypatch):
     # the number of frames of each closed-form call in C^2, in call order
-    real, sizes = lifted_module._c2_witnesses, []
+    real, sizes = lifted_module._c2_margins, []
 
     def counting(V):
         sizes.append(len(V))
         return real(V)
 
-    monkeypatch.setattr(lifted_module, "_c2_witnesses", counting)
+    monkeypatch.setattr(lifted_module, "_c2_margins", counting)
     return sizes
 
 
@@ -324,6 +324,16 @@ def test_gap_audit_rejects_shape_mismatch_and_bad_samples():
     moved = perturb_frame(bh2(), 0.01, seed=10)
     with pytest.raises(ValueError):
         l_matrix_gap_audit(bh2(), moved, samples=0)
+
+
+def test_a_negative_seed_is_refused_by_name_where_a_generator_is_seeded():
+    # numpy's own refusal names no parameter
+    moved = perturb_frame(bh2(), 0.01, seed=10)
+    for call in (lambda: perturb_frame(bh2(), 0.01, seed=-1),
+                 lambda: l_matrix_gap_audit(bh2(), moved, seed=-1),
+                 lambda: random_frame(2, 4, seed=-1)):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            call()
 
 
 def test_completed_form_lower_bound_on_retrievable_frame():
